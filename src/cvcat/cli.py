@@ -3,18 +3,15 @@
 Exit codes: 0 success, 1 validation failure, 2 usage error, 3 numeric/domain
 error.  Identical invocations (including --seed) produce byte-identical
 output; emitted files carry a metadata header with parameter values and the
-engine's conventions.  Set CVCAT_THREADS to evaluate sweep points in a thread
-pool (output order stays deterministic).
+engine's conventions.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 import click
 import numpy as np
@@ -32,18 +29,13 @@ CONVENTIONS = {
 }
 
 
-def _pmap(fn: Callable, items: Sequence):
-    workers = int(os.environ.get("CVCAT_THREADS", "1") or "1")
-    items = list(items)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
-
-
-def _load_config(path: str | None) -> dict[str, str]:
+def _load_config(ctx: click.Context, param: click.Parameter, path: str | None) -> None:
+    """Eager ``--config`` callback: each ``key = value`` line, keyed by a long
+    option name, becomes that option's default; unknown keys are ignored."""
     if not path:
-        return {}
+        return
+    names = {opt.lstrip("-").replace("-", "_"): p.name
+             for p in ctx.command.params for opt in p.opts if opt.startswith("--")}
     cfg: dict[str, str] = {}
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -52,20 +44,15 @@ def _load_config(path: str | None) -> dict[str, str]:
         if "=" not in line:
             raise click.UsageError(f"config line {raw!r} is not key=value")
         key, val = (part.strip() for part in line.split("=", 1))
-        cfg[key.replace("-", "_")] = val
-    return cfg
+        key = key.replace("-", "_")
+        if key in names:
+            cfg[names[key]] = val
+    ctx.default_map = cfg
 
 
-def _pick(flag, cfg: dict[str, str], key: str, cast, default):
-    if flag is not None:
-        return flag
-    name = key.replace("-", "_")
-    if name in cfg:
-        raw = cfg[name]
-        if cast is bool:
-            return raw.lower() in ("1", "true", "yes", "on")
-        return cast(raw)
-    return default
+_config_option = click.option(
+    "--config", type=click.Path(exists=True, dir_okay=False), callback=_load_config,
+    is_eager=True, expose_value=False, help="key=value config file")
 
 
 def _parse_range(text: str) -> np.ndarray:
@@ -129,19 +116,6 @@ def _resource_from_flags(resource: str, n: int, parity: str) -> protocols.Resour
     raise click.UsageError(f"unknown resource {resource!r}")
 
 
-def _oracle_teleport_fidelity(params: states.SignalParams, n: int, beta: float) -> float:
-    """Fidelity of the teleported state computed purely from grid quadrature."""
-    grid = oracle.GridSpec()
-    xs = grid.axis()
-    out_vals = oracle.quad_teleport(params, n, beta, grid)
-    sig_vals = states.make_signal(params).evaluate(xs)
-    w = np.full(xs.size, grid.step)
-    w[0] = w[-1] = grid.step / 2.0
-    overlap = np.sum(np.conjugate(sig_vals) * out_vals * w)
-    norm = np.sum(np.abs(out_vals) ** 2 * w)
-    return float(abs(overlap) ** 2 / norm)
-
-
 @click.group()
 @click.version_option(version=__version__, prog_name="cvcat")
 def main():
@@ -154,25 +128,24 @@ def main():
 # ---------------------------------------------------------------------------
 
 @main.command()
-@click.option("--alpha-range", default=None, help="start,stop,count [0,2.5,26]")
-@click.option("--r", type=float, default=None, help="squeezing parameter [0]")
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default=None)
-@click.option("--oracle", "use_oracle", is_flag=True, default=None,
+@click.option("--alpha-range", default="0,2.5,26", help="start,stop,count [0,2.5,26]")
+@click.option("--r", type=float, default=0.0, help="squeezing parameter [0]")
+@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
+@click.option("--oracle", "use_oracle", is_flag=True,
               help="add a quadrature cross-check column")
 @click.option("--out", default=None, help="output path [stdout]")
-@click.option("--config", default=None, help="key=value config file")
+@_config_option
 @_guard
-def truncation(alpha_range, r, fmt, use_oracle, out, config):
+def truncation(alpha_range, r, fmt, use_oracle, out):
     """Fidelity of two-level truncations of the even cat, against amplitude."""
-    cfg = _load_config(config)
-    alphas = _parse_range(_pick(alpha_range, cfg, "alpha-range", str, "0,2.5,26"))
-    r = _pick(r, cfg, "r", float, 0.0)
-    fmt = _pick(fmt, cfg, "format", str, "csv")
-    use_oracle = bool(_pick(use_oracle, cfg, "oracle", bool, False))
-    out = _pick(out, cfg, "out", str, None)
+    alphas = _parse_range(alpha_range)
     g = math.exp(-2.0 * r)
+    if use_oracle:
+        grid = oracle.GridSpec()
+        levels = [oracle.sample(hermite_gauss(k), grid) for k in (0, 2)]
 
-    def build_row(alpha: float) -> dict:
+    rows = []
+    for alpha in alphas:
         vec = fock.even_cat_fock(alpha, fock.DEFAULT_DIM)
         row = {
             "alpha": float(alpha),
@@ -182,19 +155,12 @@ def truncation(alpha_range, r, fmt, use_oracle, out, config):
             "F_squeezed_alt": fock.squeezed_trunc02_closed_form_alt(alpha, g),
         }
         if use_oracle:
-            grid = oracle.GridSpec()
-            xs = grid.axis()
             cat = states.make_ideal_squeezed_cat(alpha, r, "even") if alpha > 0 \
                 else states.make_squeezed_vacuum(g)
-            cat_vals = cat.evaluate(xs)
-            w = np.full(xs.size, grid.step)
-            w[0] = w[-1] = grid.step / 2.0
-            amp0 = np.sum(hermite_gauss(0).evaluate(xs).real * cat_vals * w)
-            amp2 = np.sum(hermite_gauss(2).evaluate(xs).real * cat_vals * w)
-            row["F_squeezed_oracle"] = float(abs(amp0) ** 2 + abs(amp2) ** 2)
-        return row
-
-    rows = _pmap(build_row, list(alphas))
+            cat_vals = oracle.sample(cat, grid)
+            row["F_squeezed_oracle"] = sum(oracle.quad_fidelity(h, cat_vals, grid)
+                                           for h in levels)
+        rows.append(row)
     columns = list(rows[0].keys())
     meta = _meta("truncation", {
         "alpha_range": f"{alphas[0]:.17g},{alphas[-1]:.17g},{len(alphas)}",
@@ -209,32 +175,22 @@ def truncation(alpha_range, r, fmt, use_oracle, out, config):
 # ---------------------------------------------------------------------------
 
 @main.command("fidelity-map")
-@click.option("--resource", type=click.Choice(["ideal", "approx", "identity"]), default=None)
-@click.option("--parity", type=click.Choice(["even", "odd"]), default=None)
-@click.option("--n", type=int, default=None, help="resource excitation number [2]")
-@click.option("--alpha", type=float, default=None, help="signal amplitude [sqrt(1.3)]")
-@click.option("--r", type=float, default=None, help="signal squeezing [0.4029]")
+@click.option("--resource", type=click.Choice(["ideal", "approx", "identity"]),
+              default="approx")
+@click.option("--parity", type=click.Choice(["even", "odd"]), default="even")
+@click.option("--n", type=int, default=2, help="resource excitation number [2]")
+@click.option("--alpha", type=float, default=SIGNAL_ALPHA, help="signal amplitude [sqrt(1.3)]")
+@click.option("--r", type=float, default=BENCHMARK_R, help="signal squeezing [0.4029]")
 @click.option("--beta", type=float, default=None, help="projection value [auto]")
-@click.option("--grid", default=None, help="theta x phi points [33x65]")
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default=None)
-@click.option("--oracle", "use_oracle", is_flag=True, default=None)
+@click.option("--grid", default="33x65", help="theta x phi points [33x65]")
+@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
+@click.option("--oracle", "use_oracle", is_flag=True)
 @click.option("--out", default=None)
-@click.option("--config", default=None)
+@_config_option
 @_guard
-def fidelity_map(resource, parity, n, alpha, r, beta, grid, fmt, use_oracle, out, config):
+def fidelity_map(resource, parity, n, alpha, r, beta, grid, fmt, use_oracle, out):
     """Teleport fidelity over signals a = cos(theta), b = e^{i phi} sin(theta)."""
-    cfg = _load_config(config)
-    resource = _pick(resource, cfg, "resource", str, "approx")
-    parity = _pick(parity, cfg, "parity", str, "even")
-    n = _pick(n, cfg, "n", int, 2)
-    alpha = _pick(alpha, cfg, "alpha", float, SIGNAL_ALPHA)
-    r = _pick(r, cfg, "r", float, BENCHMARK_R)
-    beta = _pick(beta, cfg, "beta", float, None)
-    nt, nph = _parse_grid(_pick(grid, cfg, "grid", str, "33x65"))
-    fmt = _pick(fmt, cfg, "format", str, "csv")
-    use_oracle = bool(_pick(use_oracle, cfg, "oracle", bool, False))
-    out = _pick(out, cfg, "out", str, None)
-
+    nt, nph = _parse_grid(grid)
     res = _resource_from_flags(resource, n, parity)
     sweep = protocols.SweepGrid(nt, nph)
     rows = [{"theta": t, "phi": p, "fidelity": f}
@@ -245,7 +201,9 @@ def fidelity_map(resource, parity, n, alpha, r, beta, grid, fmt, use_oracle, out
             states.SignalParams(1.0, 0.0, alpha, r), res)
         p = states.SignalParams(math.cos(math.pi / 4), math.sin(math.pi / 4), alpha, r)
         engine = protocols.teleport(p, res, beta=used_beta).fidelity_vs_signal
-        direct = _oracle_teleport_fidelity(p, n, used_beta)
+        grid = oracle.GridSpec()
+        direct = oracle.quad_fidelity(oracle.sample(states.make_signal(p), grid),
+                                      oracle.quad_teleport(p, n, used_beta, grid), grid)
         extra["oracle_spot_check"] = {
             "theta": math.pi / 4, "phi": 0.0,
             "engine": engine, "quadrature": direct, "difference": abs(engine - direct),
@@ -264,29 +222,21 @@ def fidelity_map(resource, parity, n, alpha, r, beta, grid, fmt, use_oracle, out
 # ---------------------------------------------------------------------------
 
 @main.command("avg-fidelity")
-@click.option("--resource", type=click.Choice(["ideal", "approx", "identity"]), default=None)
-@click.option("--parity", type=click.Choice(["even", "odd"]), default=None)
-@click.option("--n", type=int, default=None)
-@click.option("--alpha", type=float, default=None)
-@click.option("--r", type=float, default=None)
-@click.option("--grid", default=None, help="starting theta x phi quadrature [32x64]")
-@click.option("--tol", type=float, default=None, help="convergence tolerance [1e-5]")
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default=None)
+@click.option("--resource", type=click.Choice(["ideal", "approx", "identity"]),
+              default="approx")
+@click.option("--parity", type=click.Choice(["even", "odd"]), default="even")
+@click.option("--n", type=int, default=2)
+@click.option("--alpha", type=float, default=SIGNAL_ALPHA)
+@click.option("--r", type=float, default=BENCHMARK_R)
+@click.option("--grid", default="32x64", help="starting theta x phi quadrature [32x64]")
+@click.option("--tol", type=float, default=1e-5, help="convergence tolerance [1e-5]")
+@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="json")
 @click.option("--out", default=None)
-@click.option("--config", default=None)
+@_config_option
 @_guard
-def avg_fidelity(resource, parity, n, alpha, r, grid, tol, fmt, out, config):
+def avg_fidelity(resource, parity, n, alpha, r, grid, tol, fmt, out):
     """Signal-sphere average of the teleport fidelity, both parametrizations."""
-    cfg = _load_config(config)
-    resource = _pick(resource, cfg, "resource", str, "approx")
-    parity = _pick(parity, cfg, "parity", str, "even")
-    n = _pick(n, cfg, "n", int, 2)
-    alpha = _pick(alpha, cfg, "alpha", float, SIGNAL_ALPHA)
-    r = _pick(r, cfg, "r", float, BENCHMARK_R)
-    nt, nph = _parse_grid(_pick(grid, cfg, "grid", str, "32x64"))
-    tol = _pick(tol, cfg, "tol", float, 1e-5)
-    fmt = _pick(fmt, cfg, "format", str, "json")
-    out = _pick(out, cfg, "out", str, None)
+    nt, nph = _parse_grid(grid)
 
     res = _resource_from_flags(resource, n, parity)
     quadrature = protocols.BlochQuadrature(nt, nph, tol)
@@ -314,40 +264,29 @@ def avg_fidelity(resource, parity, n, alpha, r, grid, tol, fmt, out, config):
 # ---------------------------------------------------------------------------
 
 @main.command()
-@click.option("--kind", type=click.Choice(["ideal", "approx"]), default=None)
-@click.option("--alpha-range", default=None, help="ideal sweep: start,stop,count [0,2.5,26]")
-@click.option("--r", type=float, default=None)
-@click.option("--n", type=int, default=None, help="approx input excitation [1]")
-@click.option("--steps", type=int, default=None, help="iterations per input [1]")
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default=None)
-@click.option("--oracle", "use_oracle", is_flag=True, default=None)
+@click.option("--kind", type=click.Choice(["ideal", "approx"]), default="ideal")
+@click.option("--alpha-range", default="0,2.5,26",
+              help="ideal sweep: start,stop,count [0,2.5,26]")
+@click.option("--r", type=float, default=BENCHMARK_R)
+@click.option("--n", type=int, default=1, help="approx input excitation [1]")
+@click.option("--steps", type=int, default=1, help="iterations per input [1]")
+@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
+@click.option("--oracle", "use_oracle", is_flag=True)
 @click.option("--out", default=None)
-@click.option("--config", default=None)
+@_config_option
 @_guard
-def amplify(kind, alpha_range, r, n, steps, fmt, use_oracle, out, config):
+def amplify(kind, alpha_range, r, n, steps, fmt, use_oracle, out):
     """Heralded amplification: fidelity against the sqrt(2)-amplified target."""
-    cfg = _load_config(config)
-    kind = _pick(kind, cfg, "kind", str, "ideal")
-    r = _pick(r, cfg, "r", float, BENCHMARK_R)
-    n = _pick(n, cfg, "n", int, 1)
-    steps = _pick(steps, cfg, "steps", int, 1)
-    fmt = _pick(fmt, cfg, "format", str, "csv")
-    use_oracle = bool(_pick(use_oracle, cfg, "oracle", bool, False))
-    out = _pick(out, cfg, "out", str, None)
     extra: dict = {}
 
     if kind == "ideal":
-        alphas = _parse_range(_pick(alpha_range, cfg, "alpha-range", str, "0,2.5,26"))
-
-        def sweep_row(alpha: float) -> list[dict]:
-            seq = protocols.amplify_iterate(protocols.IdealCat(float(alpha), r), steps)
-            return [{"alpha": float(alpha), "step": k + 1,
-                     "fidelity": o.fidelity_vs_target,
-                     "spurious": protocols.amplification_spurious(
-                         float(alpha) * 2.0 ** (k / 2.0), r)}
-                    for k, o in enumerate(seq)]
-
-        rows = [row for group in _pmap(sweep_row, list(alphas)) for row in group]
+        alphas = _parse_range(alpha_range)
+        rows = []
+        for alpha in map(float, alphas):
+            seq = protocols.amplify_iterate(protocols.IdealCat(alpha, r), steps)
+            rows += [{"alpha": alpha, "step": k + 1, "fidelity": o.fidelity_vs_target,
+                      "spurious": protocols.amplification_spurious(alpha * 2.0 ** (k / 2.0), r)}
+                     for k, o in enumerate(seq)]
         columns = ["alpha", "step", "fidelity", "spurious"]
         params = {"kind": kind, "alpha_range":
                   f"{alphas[0]:.17g},{alphas[-1]:.17g},{len(alphas)}",
@@ -358,15 +297,11 @@ def amplify(kind, alpha_range, r, n, steps, fmt, use_oracle, out, config):
             grid = oracle.GridSpec()
             target = states.make_ideal_squeezed_cat(math.sqrt(2) * mid, r, "even", "1") \
                 if mid > 0 else states.make_squeezed_vacuum(math.exp(-2 * r), "1")
-            sv = oracle.sample(outcome.output, grid)
-            tv = oracle.sample(target, grid)
-            q = oracle.quad_inner(tv, sv, grid)
-            direct = abs(q.value) ** 2 / (
-                oracle.quad_inner(sv, sv, grid).value.real
-                * oracle.quad_inner(tv, tv, grid).value.real)
+            direct = oracle.quad_fidelity(oracle.sample(target, grid),
+                                          oracle.sample(outcome.output, grid), grid)
             extra["oracle_spot_check"] = {
                 "alpha": mid, "engine": outcome.fidelity_vs_target,
-                "quadrature": float(direct),
+                "quadrature": direct,
                 "difference": abs(outcome.fidelity_vs_target - direct),
             }
     else:
@@ -394,21 +329,15 @@ def amplify(kind, alpha_range, r, n, steps, fmt, use_oracle, out, config):
 # ---------------------------------------------------------------------------
 
 @main.command()
-@click.option("--seed", type=int, default=None, help="corpus seed [20260808]")
-@click.option("--trials", type=int, default=None, help="random corpus size [30]")
-@click.option("--perturb", type=float, default=None,
+@click.option("--seed", type=int, default=20260808, help="corpus seed [20260808]")
+@click.option("--trials", type=int, default=30, help="random corpus size [30]")
+@click.option("--perturb", type=float, default=0.0,
               help="negative control: mis-scale first moments by (1+eps)")
 @click.option("--out", default=None)
-@click.option("--config", default=None)
+@_config_option
 @_guard
-def validate(seed, trials, perturb, out, config):
+def validate(seed, trials, perturb, out):
     """Run the oracle-vs-engine regression corpus and benchmark suite."""
-    cfg = _load_config(config)
-    seed = _pick(seed, cfg, "seed", int, 20260808)
-    trials = _pick(trials, cfg, "trials", int, 30)
-    perturb = _pick(perturb, cfg, "perturb", float, 0.0)
-    out = _pick(out, cfg, "out", str, None)
-
     report = run_validation(seed=seed, trials=trials, perturbation=perturb)
     payload = _meta("validate", {"seed": seed, "trials": trials, "perturb": perturb})
     payload.update(report.to_dict())

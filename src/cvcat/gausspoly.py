@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -50,25 +51,24 @@ _SQRT2 = math.sqrt(2.0)
 
 # Negative-control knob for the validation command: scales the first-order
 # Gaussian moment, which breaks every downstream closed form without being
-# absorbed by renormalisation.  Always 1.0 outside `perturb_first_moment`.
-_FIRST_MOMENT_SCALE = 1.0
+# absorbed by renormalisation.  Always 1.0 outside `perturb_first_moment`; a
+# context variable, so the perturbation stays in the context that set it.
+_FIRST_MOMENT_SCALE: ContextVar[float] = ContextVar("first_moment_scale", default=1.0)
 
 
 class perturb_first_moment:
-    """Context manager that deliberately mis-scales first moments by (1+eps)."""
+    """Context manager that deliberately mis-scales first moments by (1+eps)
+    in the current context only; other threads keep the exact engine."""
 
     def __init__(self, eps: float):
         self.eps = eps
 
     def __enter__(self):
-        global _FIRST_MOMENT_SCALE
-        self._saved = _FIRST_MOMENT_SCALE
-        _FIRST_MOMENT_SCALE = 1.0 + self.eps
+        self._token = _FIRST_MOMENT_SCALE.set(1.0 + self.eps)
         return self
 
     def __exit__(self, *exc):
-        global _FIRST_MOMENT_SCALE
-        _FIRST_MOMENT_SCALE = self._saved
+        _FIRST_MOMENT_SCALE.reset(self._token)
         return False
 
 
@@ -276,7 +276,7 @@ def gaussian_moment_integral(spec: GaussianMomentSpec) -> complex:
     i0 = cmath.sqrt(cmath.pi / a) * cmath.exp(b * b / a)
     if k == 0:
         return i0
-    prev, cur = i0, (b / a) * i0 * _FIRST_MOMENT_SCALE
+    prev, cur = i0, (b / a) * i0 * _FIRST_MOMENT_SCALE.get()
     for n in range(2, k + 1):
         prev, cur = cur, (2.0 * b * cur + (n - 1) * prev) / (2.0 * a)
     return cur
@@ -290,7 +290,7 @@ def _moment_polys(a: complex, b_poly: Poly, kmax: int, zero_key: Monomial) -> li
     """
     out: list[Poly] = [{zero_key: 1.0 + 0j}]
     if kmax >= 1:
-        out.append(_poly_scale(b_poly, _FIRST_MOMENT_SCALE / a))
+        out.append(_poly_scale(b_poly, _FIRST_MOMENT_SCALE.get() / a))
     for k in range(2, kmax + 1):
         rec = _poly_add(_poly_scale(_poly_mul(b_poly, out[k - 1]), 2.0),
                         _poly_scale(out[k - 2], float(k - 1)))

@@ -123,6 +123,13 @@ def quad_inner(u_samples: np.ndarray, v_samples: np.ndarray, grid: GridSpec) -> 
     return QuadResult(full, half)
 
 
+def quad_fidelity(u_samples: np.ndarray, v_samples: np.ndarray, grid: GridSpec) -> float:
+    """Fidelity |<u|v>|^2 / (<u|u> <v|v>) of two sampled states by quad_inner."""
+    overlap = quad_inner(u_samples, v_samples, grid).value
+    return float(abs(overlap) ** 2 / (quad_inner(v_samples, v_samples, grid).value.real
+                                      * quad_inner(u_samples, u_samples, grid).value.real))
+
+
 def random_gauss_poly(rng: np.random.Generator, n_modes: int = 1,
                       max_degree: int = 8, max_terms: int = 2,
                       modes: tuple[str, ...] | None = None) -> GaussPolyState:

@@ -496,67 +496,41 @@ def amplification_spurious(alpha: float, r: float) -> bool:
     return vacuum_overlap(math.sqrt(2.0) * alpha, r) > SPURIOUS_OVERLAP
 
 
-def _amplify_once(source: IdealCat | ApproxResource) -> tuple[GaussPolyState, GaussPolyState]:
-    """One amplification step; returns (output, comparison target)."""
-    if isinstance(source, IdealCat):
-        alpha, r = source.alpha, source.r
-        if alpha > 0.0:
-            state = make_ideal_squeezed_cat(alpha, r, "even", "1")
-            target = make_ideal_squeezed_cat(math.sqrt(2.0) * alpha, r, "even", "1")
-        else:
-            state = make_squeezed_vacuum(math.exp(-2.0 * r), "1")
-            target = state
-        return _amplify_state(state), target
-    if isinstance(source, ApproxResource):
-        n = source.n
-        if 2 * n > MAX_EXCITATION:
-            raise CapacityError(
-                f"doubling n={n} exceeds the excitation cap {MAX_EXCITATION}")
-        fit = fit_effective_params(2 * n)
-        target = make_ideal_squeezed_cat(fit.alpha, fit.r, "even", "1")
-        return _amplify_state(make_approx(n, "1")), target
-    raise UsageError(f"unsupported amplification input {source!r}")
-
-
 def amplify(source: IdealCat | ApproxResource) -> AmplifyOutcome:
     """Single amplification step: amplitude grows by sqrt(2); the ladder state
     of excitation n maps exactly onto the ladder state of excitation 2n."""
-    out, target = _amplify_once(source)
-    return AmplifyOutcome(out, fidelity(out, target))
+    return amplify_iterate(source, 1)[0]
 
 
 def amplify_iterate(source: IdealCat | ApproxResource, steps: int) -> list[AmplifyOutcome]:
     """Repeated amplification, each step feeding two copies of the previous
     output back into the splitter.  Step k is compared against the ideal cat
     of amplitude 2^{k/2} alpha (for ladder input: the fitted cat of the
-    doubled excitation)."""
+    doubled excitation); a squeezed-vacuum output is compared with itself."""
     if steps < 1:
         raise UsageError("steps must be >= 1")
-    outcomes: list[AmplifyOutcome] = []
     if isinstance(source, IdealCat):
         cur = make_ideal_squeezed_cat(source.alpha, source.r, "even", "1") \
             if source.alpha > 0.0 else make_squeezed_vacuum(math.exp(-2.0 * source.r), "1")
-        amp = source.alpha
-        for step in range(1, steps + 1):
-            try:
-                cur = _amplify_state(cur)
-            except CapacityError as exc:
-                raise CapacityError(f"degree cap exhausted at step {step}") from exc
-            amp *= math.sqrt(2.0)
-            target = make_ideal_squeezed_cat(amp, source.r, "even", "1") \
-                if amp > 0.0 else cur
-            outcomes.append(AmplifyOutcome(cur, fidelity(cur, target)))
-        return outcomes
-    if isinstance(source, ApproxResource):
+        size, growth = source.alpha, math.sqrt(2.0)
+    elif isinstance(source, ApproxResource):
         cur = make_approx(source.n, "1")
-        n = source.n
-        for step in range(1, steps + 1):
-            if 2 * n > MAX_EXCITATION:
-                raise CapacityError(f"degree cap exhausted at step {step}")
+        size, growth = source.n, 2
+    else:
+        raise UsageError(f"unsupported amplification input {source!r}")
+    outcomes: list[AmplifyOutcome] = []
+    for step in range(1, steps + 1):
+        size *= growth
+        if isinstance(source, ApproxResource) and size > MAX_EXCITATION:
+            raise CapacityError(f"degree cap exhausted at step {step}")
+        try:
             cur = _amplify_state(cur)
-            n *= 2
-            fit = fit_effective_params(n)
+        except CapacityError as exc:
+            raise CapacityError(f"degree cap exhausted at step {step}") from exc
+        if isinstance(source, ApproxResource):
+            fit = fit_effective_params(size)
             target = make_ideal_squeezed_cat(fit.alpha, fit.r, "even", "1")
-            outcomes.append(AmplifyOutcome(cur, fidelity(cur, target)))
-        return outcomes
-    raise UsageError(f"unsupported amplification input {source!r}")
+        else:
+            target = make_ideal_squeezed_cat(size, source.r, "even", "1") if size > 0.0 else cur
+        outcomes.append(AmplifyOutcome(cur, fidelity(cur, target)))
+    return outcomes

@@ -15,7 +15,6 @@ from functools import lru_cache
 from typing import Literal
 
 import numpy as np
-from scipy import optimize
 
 from .errors import DomainError, UsageError
 from .gausspoly import (
@@ -167,6 +166,8 @@ def fit_effective_params(n: int, tol: float = 1e-8) -> EffectiveParams:
     from five coarse starts; the landscape is smooth and single-peaked in the
     region of interest.
     """
+    from scipy import optimize  # deferred: importing scipy dominates CLI start-up
+
     if n < 1:
         raise UsageError("fit is defined for n >= 1")
     ladder = make_approx(n)

@@ -13,7 +13,6 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.integrate import quad as scipy_quad
 
 from . import fock, oracle, protocols, states
 from .gausspoly import (
@@ -87,6 +86,8 @@ def _check(name: str, margin: float, tol: float, detail: str = "") -> Check:
 # ---------------------------------------------------------------------------
 
 def _moment_checks() -> list[Check]:
+    from scipy.integrate import quad as scipy_quad  # deferred: slow import
+
     out = []
     cases = [(1.0, 0.5, 2), (1.3 - 0.4j, 0.2 + 0.7j, 5), (0.7, -1.1, 8)]
     worst = 0.0
@@ -291,8 +292,7 @@ def _oracle_corpus_checks(seed: int, trials: int) -> list[Check]:
 
         beta = float(rng.uniform(-1.5, 1.5))
         proj = project_p(u, u.modes[0], beta)
-        w = np.full(axis.size, grid.step)
-        w[0] = w[-1] = grid.step / 2.0
+        w = oracle._trapz_weights(axis.size, grid.step)
         kernel = np.exp(1j * beta * axis) / math.sqrt(2.0 * math.pi)
         if n_modes == 2:
             vals = u.evaluate(axis[:, None], axis[None, :])

@@ -1,8 +1,11 @@
 import math
 import os
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, settings
+
+import cvcat
 
 settings.register_profile(
     "cvcat",
@@ -32,3 +35,11 @@ def benchmark_params():
         "g": BENCHMARK_G,
         "signal_alpha": SIGNAL_ALPHA,
     }
+
+
+@pytest.fixture(scope="session")
+def child_env():
+    """Environment for child interpreters that must import this cvcat."""
+    src = str(Path(cvcat.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}

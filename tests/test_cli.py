@@ -1,10 +1,31 @@
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from cvcat.cli import main
+
+DATA = Path(__file__).parent / "data"
+CONFIG_TEXT = "alpha-range = 0,1,2\nformat = json\n# comment\n"
+
+#: Default outputs pinned byte for byte; "{config}" stands for a file holding
+#: CONFIG_TEXT.  Regenerate a file only for a deliberate output change.
+GOLDEN = {
+    "truncation_r03.csv": ["truncation", "--alpha-range", "0,2.5,26", "--r", "0.3"],
+    "truncation.json": ["truncation", "--alpha-range", "0,1.5,4", "--format", "json"],
+    "fidelity_map_9x9.json": ["fidelity-map", "--grid", "9x9", "--format", "json"],
+    "fidelity_map_approx_n3.csv": ["fidelity-map", "--resource", "approx", "--n", "3",
+                                   "--grid", "5x5", "--alpha", "1.1"],
+    "avg_fidelity_ideal.json": ["avg-fidelity", "--resource", "ideal"],
+    "amplify_ideal_oracle.csv": ["amplify", "--kind", "ideal", "--alpha-range", "0,2.5,26",
+                                 "--r", "0.4", "--steps", "2", "--oracle"],
+    "amplify_approx.csv": ["amplify", "--kind", "approx", "--n", "1", "--steps", "3"],
+    "truncation_config.json": ["truncation", "--config", "{config}"],
+}
 
 
 @pytest.fixture()
@@ -165,6 +186,18 @@ class TestCliPlumbing:
         res = runner.invoke(main, ["truncation", "--alpha-range", "nonsense"])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("command, text", [
+        ("truncation", "format = xml\n"),
+        ("validate", "trials = abc\n"),
+        ("truncation", None),
+    ], ids=["bad-choice", "bad-integer", "missing-file"])
+    def test_bad_config_exit_two(self, runner, tmp_path, command, text):
+        cfg = tmp_path / "run.cfg"
+        if text is not None:
+            cfg.write_text(text)
+        res = runner.invoke(main, [command, "--config", str(cfg)])
+        assert res.exit_code == 2
+
     def test_byte_identical_reruns(self, runner, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for path in (a, b):
@@ -173,26 +206,31 @@ class TestCliPlumbing:
             assert res.exit_code == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_thread_pool_output_deterministic(self, runner, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        res = runner.invoke(main, ["amplify", "--kind", "ideal", "--alpha-range",
-                                   "0,2,5", "--out", str(a)])
-        assert res.exit_code == 0
-        res = runner.invoke(main, ["amplify", "--kind", "ideal", "--alpha-range",
-                                   "0,2,5", "--out", str(b)],
-                            env={"CVCAT_THREADS": "4"})
-        assert res.exit_code == 0
-        assert a.read_bytes() == b.read_bytes()
-
     def test_config_file_and_flag_override(self, runner, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("alpha-range = 0,1,2\nformat = json\n# comment\n")
+        cfg.write_text(CONFIG_TEXT)
         res = invoke(runner, ["truncation", "--config", str(cfg)])
         assert len(json.loads(res.output)["rows"]) == 2
         res = invoke(runner, ["truncation", "--config", str(cfg),
                               "--alpha-range", "0,1,3"])
         assert len(json.loads(res.output)["rows"]) == 3
 
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_default_outputs_match_golden(self, runner, tmp_path, name):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(CONFIG_TEXT)
+        args = [str(cfg) if a == "{config}" else a for a in GOLDEN[name]]
+        res = invoke(runner, args)
+        assert res.exit_code == 0
+        assert res.stdout_bytes == (DATA / name).read_bytes()
+
     def test_version(self, runner):
         res = invoke(runner, ["--version"])
         assert "0.1.0" in res.output
+
+    def test_import_loads_no_scipy(self, child_env):
+        code = ("import sys, cvcat.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=child_env, timeout=120, check=True)
+        assert proc.stdout.strip() == "[]"

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from cvcat import (
     superpose,
 )
 from cvcat import oracle, states
+from cvcat.gausspoly import perturb_first_moment
 
 
 def gaussian_term(q, lin, c=0j, poly=None, m=1):
@@ -65,6 +67,20 @@ class TestMoments:
             GaussianMomentSpec(-1.0, 0.0, 2)
         with pytest.raises(UsageError):
             GaussianMomentSpec(1.0, 0.0, -1)
+
+    def test_perturbation_stays_in_its_thread(self):
+        spec = GaussianMomentSpec(1.0, 0.5, 1)
+        exact = gaussian_moment_integral(spec)
+        seen = []
+        with perturb_first_moment(1e-6):
+            perturbed = gaussian_moment_integral(spec)
+            worker = threading.Thread(target=lambda: seen.append(gaussian_moment_integral(spec)))
+            worker.start()
+            worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert perturbed == approx(exact * (1 + 1e-6), rel=1e-12)
+        assert seen == [exact]
+        assert gaussian_moment_integral(spec) == exact
 
     @given(
         a_re=st.floats(0.2, 3.0), a_im=st.floats(-1.0, 1.0),
