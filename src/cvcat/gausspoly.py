@@ -214,20 +214,26 @@ class GaussPolyState:
         return not self.terms
 
     def evaluate(self, *coords: np.ndarray) -> np.ndarray:
-        """Pointwise wavefunction values on broadcastable coordinate arrays."""
+        """Pointwise wavefunction values on broadcastable coordinate arrays.
+
+        Each factor is computed on its operands' own broadcast shape: on an
+        open grid (``np.meshgrid(..., sparse=True)``) the per-axis powers and
+        products run on the axis vectors, and only the cross terms, one
+        ``exp`` per term and the sums cover the full grid.
+        """
         if len(coords) != self.n_modes:
             raise UsageError(f"expected {self.n_modes} coordinate arrays")
         xs = [np.asarray(c) for c in coords]
         out = np.zeros(np.broadcast(*xs).shape if xs else (), dtype=complex)
         for t in self.terms:
-            expo = np.full_like(out, t.offset)
+            expo = t.offset
             for i, xi in enumerate(xs):
                 expo = expo + t.lin[i] * xi - 0.5 * t.quad[i, i] * xi * xi
                 for j in range(i + 1, len(xs)):
                     expo = expo - t.quad[i, j] * xi * xs[j]
-            poly = np.zeros_like(out)
+            poly = 0
             for e, c in t.poly.items():
-                mono = np.full_like(out, c)
+                mono = np.complex128(c)
                 for i, k in enumerate(e):
                     if k:
                         mono = mono * xs[i] ** k

@@ -264,7 +264,7 @@ def _oracle_corpus_checks(seed: int, trials: int) -> list[Check]:
     # farther out than the physical protocol states
     grid1 = oracle.GridSpec(-18.0, 18.0, oracle.DEFAULT_POINTS_1D)
     grid2 = oracle.GridSpec(-18.0, 18.0, oracle.DEFAULT_POINTS_2D)
-    worst_inner = worst_cond = worst_proj = 0.0
+    worst_inner = worst_delta = worst_cond = worst_proj = 0.0
     for trial in range(trials):
         n_modes = 1 if trial % 2 == 0 else 2
         grid = grid1 if n_modes == 1 else grid2
@@ -275,6 +275,7 @@ def _oracle_corpus_checks(seed: int, trials: int) -> list[Check]:
         q = oracle.quad_inner(su, sv, grid)
         worst_inner = max(worst_inner,
                           abs(inner_product(u, v) - q.value) / scale)
+        worst_delta = max(worst_delta, q.delta / scale)
 
         axis = grid.axis()
         value = float(rng.uniform(-1.0, 1.0))
@@ -293,8 +294,7 @@ def _oracle_corpus_checks(seed: int, trials: int) -> list[Check]:
         w = oracle._trapz_weights(axis.size, grid.step)
         kernel = np.exp(1j * beta * axis) / math.sqrt(2.0 * math.pi)
         if n_modes == 2:
-            vals = u.evaluate(axis[:, None], axis[None, :])
-            direct = (kernel * w) @ vals
+            direct = (kernel * w) @ su
             engine = proj.evaluate(axis)
         else:
             direct = np.array([np.sum(kernel * w * u.evaluate(axis))])
@@ -303,6 +303,7 @@ def _oracle_corpus_checks(seed: int, trials: int) -> list[Check]:
         worst_proj = max(worst_proj, float(np.max(np.abs(direct - engine))) / peak)
     return [
         _check("oracle-inner-products", worst_inner, 1e-7, f"{trials} trials"),
+        _check("oracle-quadrature-convergence", worst_delta, 1e-7, f"{trials} trials"),
         _check("oracle-conditioning", worst_cond, 1e-7, f"{trials} trials"),
         _check("oracle-projection", worst_proj, 1e-7, f"{trials} trials"),
     ]
@@ -345,9 +346,9 @@ def _reference_notes() -> list[dict]:
     f15 = fock.cat_trunc02_formula(1.5)
     notes.append({
         "id": "trunc02-value-at-1.5",
-        "note": "exact value lies outside the reference band 0.73 +/- 0.005; the "
-                "two-decimal reference appears truncated rather than rounded",
-        "exact": f15, "reference": 0.73, "band": 0.005,
+        "note": "the two-decimal reference 0.73 is the truncation of the exact "
+                "value, which lies in [0.73, 0.74) as acceptance criterion 1 asserts",
+        "exact": f15, "reference": 0.73, "interval": [0.73, 0.74],
     })
 
     recomputed = (2.0 + 2.0 * math.exp(-4.0)) ** -0.5

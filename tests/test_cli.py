@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from cvcat import oracle, validate
 from cvcat.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -167,7 +168,7 @@ class TestValidate:
         payload = json.loads(out.read_text())
         assert payload["ok"] is True
         names = {c["name"] for c in payload["checks"]}
-        assert "closed-form-vs-pipeline" in names
+        assert {"closed-form-vs-pipeline", "oracle-quadrature-convergence"} <= names
         notes = {n["id"] for n in payload["reference_notes"]}
         assert {"squeezed-trunc02-prefactor", "resource-normalisation",
                 "post-splitter-expansion-sign", "closed-form-beta-terms"} <= notes
@@ -179,6 +180,22 @@ class TestValidate:
         assert res.exit_code == 1
         payload = json.loads(out.read_text())
         assert payload["ok"] is False
+
+    def test_truncation_note_lies_in_the_criterion_1_interval(self):
+        notes = validate._reference_notes()
+        assert not any("band" in n for n in notes)
+        note = next(n for n in notes if n["id"] == "trunc02-value-at-1.5")
+        lo, hi = note["interval"]
+        assert (lo, hi) == (0.73, 0.74)
+        assert lo <= note["exact"] < hi
+
+    def test_quadrature_convergence_check_bites_on_coarse_grids(self, monkeypatch):
+        checks = {c.name: c for c in validate._oracle_corpus_checks(seed=5, trials=2)}
+        assert checks["oracle-quadrature-convergence"].passed
+        monkeypatch.setattr(oracle, "DEFAULT_POINTS_1D", 64)
+        monkeypatch.setattr(oracle, "DEFAULT_POINTS_2D", 64)
+        checks = {c.name: c for c in validate._oracle_corpus_checks(seed=5, trials=2)}
+        assert not checks["oracle-quadrature-convergence"].passed
 
 
 class TestCliPlumbing:

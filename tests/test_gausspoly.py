@@ -339,3 +339,57 @@ class TestStateBasics:
         mu = 0.8 * math.sqrt(2 * g)
         expected = (math.pi * g) ** -0.25 * np.exp(-((xs - mu) ** 2) / (2 * g))
         assert u.evaluate(xs) == approx(expected, rel=1e-12)
+
+
+def dense_seeded_evaluate(u, *coords):
+    """Reference evaluation that seeds every factor on the full grid."""
+    xs = np.broadcast_arrays(*[np.asarray(c) for c in coords])
+    out = np.zeros(xs[0].shape, dtype=complex)
+    for t in u.terms:
+        expo = np.full_like(out, t.offset)
+        for i, xi in enumerate(xs):
+            expo = expo + t.lin[i] * xi - 0.5 * t.quad[i, i] * xi * xi
+            for j in range(i + 1, len(xs)):
+                expo = expo - t.quad[i, j] * xi * xs[j]
+        poly = np.zeros_like(out)
+        for e, c in t.poly.items():
+            mono = np.full_like(out, c)
+            for i, k in enumerate(e):
+                if k:
+                    mono = mono * xs[i] ** k
+            poly = poly + mono
+        out = out + poly * np.exp(expo)
+    return out
+
+
+class TestOpenGridEvaluate:
+    def test_one_mode_matches_dense_seeding_bitwise(self):
+        rng = np.random.default_rng(11)
+        xs = np.linspace(-9.0, 9.0, 513)
+        for _ in range(10):
+            u = oracle.random_gauss_poly(rng, 1)
+            assert np.array_equal(u.evaluate(xs), dense_seeded_evaluate(u, xs))
+
+    @pytest.mark.parametrize("n_modes, points", [(2, 96), (3, 24)])
+    def test_open_grid_matches_dense_grid(self, n_modes, points):
+        rng = np.random.default_rng(12 + n_modes)
+        axis = np.linspace(-7.0, 7.0, points)
+        for _ in range(6):
+            u = oracle.random_gauss_poly(rng, n_modes)
+            open_vals = u.evaluate(*np.meshgrid(*[axis] * n_modes, indexing="ij",
+                                                sparse=True))
+            dense = np.meshgrid(*[axis] * n_modes, indexing="ij")
+            for ref in (u.evaluate(*dense), dense_seeded_evaluate(u, *dense)):
+                assert open_vals.shape == ref.shape
+                assert np.max(np.abs(open_vals - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_zero_terms_give_zeros_of_broadcast_shape(self):
+        zero = GaussPolyState(("x", "y"), ())
+        vals = zero.evaluate(np.zeros((4, 1)), np.zeros((1, 5)))
+        assert vals.shape == (4, 5) and vals.dtype == complex
+        assert not np.any(vals)
+
+    def test_scalar_coordinate_gives_complex_scalar(self):
+        assert isinstance(hermite_gauss(2).evaluate(0.3), np.complex128)
+        pair = multiply(hermite_gauss(1, "x"), hermite_gauss(0, "y"))
+        assert isinstance(pair.evaluate(0.3, -0.2), np.complex128)

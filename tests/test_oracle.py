@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -142,3 +143,32 @@ class TestQuadTeleport:
         w[0] = w[-1] = grid.step / 2.0
         f = abs(np.sum(np.conj(sig) * out * w)) ** 2 / np.sum(np.abs(out) ** 2 * w)
         assert f == approx(0.9974, abs=0.0005)
+
+    def test_row_blocks_match_one_block_bitwise(self, monkeypatch, benchmark_params):
+        p = states.SignalParams(1, 0.5j, benchmark_params["signal_alpha"],
+                                benchmark_params["r"])
+        grid = oracle.GridSpec(points=512)
+        xs = np.linspace(-8.0, 8.0, 101)
+        results = []
+        # 2 and 7 rows per block (ragged last blocks of 1 and 3 rows), then
+        # one block
+        for block in (2 * grid.points, 7 * grid.points, 1 << 40):
+            monkeypatch.setattr(oracle, "_BLOCK_POINTS", block)
+            results.append((oracle.quad_teleport(p, 2, 0.4, grid),
+                            oracle.quad_teleport(p, 2, 0.4, grid, out_axis=xs)))
+        for blocked in results[:-1]:
+            for a, b in zip(blocked, results[-1]):
+                assert np.array_equal(a, b)
+
+    def test_default_grid_peak_memory(self, benchmark_params):
+        # the 4096^2 grid of `fidelity-map --oracle`; the whole integrand at
+        # once peaks near 1.8 GB
+        p = states.SignalParams(1, 1, benchmark_params["signal_alpha"],
+                                benchmark_params["r"])
+        tracemalloc.start()
+        try:
+            oracle.quad_teleport(p, 2, 0.0, oracle.GridSpec())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 2 ** 20
