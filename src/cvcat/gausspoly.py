@@ -30,8 +30,10 @@ from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_left, bisect_right
 from contextvars import ContextVar
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -46,6 +48,14 @@ DEGREE_CAP = 64
 
 #: Coefficients below this fraction of a term's largest coefficient are dropped.
 COEFF_DROP = 1e-14
+
+# Gaussian forms (Q, L) closer than this fraction of the form's largest entry
+# are one form reached along different rounding paths.  Over every grouping
+# in the ideal-cat amplify chains (16 alpha over [0.3, 2.5], five steps) such
+# copies differ by at most 56 ulp of the largest entry (1.1e-14 relative), and
+# distinct forms by at least 3.1e-2 relative, so any value well inside that
+# gap gives the same grouping.
+_FORM_RTOL = 1e-12
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -174,26 +184,17 @@ class GaussPolyState:
 
     @classmethod
     def from_terms(cls, modes: Sequence[str], terms: Iterable[GaussTerm]) -> "GaussPolyState":
-        """Build a state, merging terms that share (Q, L) and dropping noise."""
-        groups: dict[bytes, list[GaussTerm]] = {}
-        order: list[bytes] = []
-        for t in terms:
-            key = t.quad.tobytes() + t.lin.tobytes()
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(t)
-        merged: list[GaussTerm] = []
-        for key in order:
-            group = groups[key]
-            ref = max(g.offset.real for g in group)
-            poly: Poly = {}
-            for g in group:
-                poly = _poly_add(poly, _poly_scale(dict(g.poly), cmath.exp(g.offset - ref)))
-            poly = _poly_compact(poly)
-            if poly:
-                merged.append(GaussTerm(poly, group[0].quad, group[0].lin, ref))
-        return cls(tuple(modes), tuple(merged))
+        """Build a state, merging terms with equal Gaussian forms and dropping noise.
+
+        Two forms (Q, L) count as equal when their entries are equal or when
+        their largest entrywise distance is at most ``_FORM_RTOL`` (1e-12)
+        times the largest entry of the later form, so copies of one form that
+        took different rounding paths merge.  A merged term keeps its first
+        member's (Q, L).
+        """
+        terms = list(terms)
+        return _merge_terms(modes, [_form(t) for t in terms],
+                            [t.offset for t in terms], [t.poly for t in terms])
 
     # -- basic queries -----------------------------------------------------
 
@@ -328,15 +329,85 @@ def _aligned(v: GaussPolyState, modes: tuple[str, ...]) -> GaussPolyState:
     return GaussPolyState(modes, tuple(terms))
 
 
+def _group_forms(forms: Sequence[Sequence[complex]]) -> list[list[int]]:
+    """Indices of equal Gaussian forms, grouped in order of first appearance.
+
+    Each form lists the w entries of Q, then those of L.  A form joins a
+    group when it equals a form seen before, or else the nearest group whose
+    first form lies within ``_FORM_RTOL`` times the form's largest entry, in
+    largest entrywise distance.  Group firsts are kept sorted by the
+    projection p = sum_i i * (Re z_i + Im z_i); forms at distance d have
+    projections at most w * (w + 1) * d / sqrt(2) apart, so only the firsts
+    within w * (w + 1) tolerances of a form's projection are compared.
+    """
+    seen: dict[tuple[complex, ...], int] = {}
+    groups: list[list[int]] = []
+    projections: list[float] = []  # ascending, one per group
+    owners: list[int] = []  # group of each entry of ``projections``
+    for k, form in enumerate(forms):
+        key = tuple(form)
+        g = seen.get(key)
+        if g is None:
+            weighted = sum(map(mul, range(1, len(form) + 1), form))
+            p = weighted.real + weighted.imag
+            if projections:
+                best = _FORM_RTOL * max(map(abs, form))
+                reach = len(form) * (len(form) + 1) * best
+                for j in range(bisect_left(projections, p - reach),
+                               bisect_right(projections, p + reach)):
+                    first = forms[groups[owners[j]][0]]
+                    dist = max(abs(a - b) for a, b in zip(form, first))
+                    if dist <= best:
+                        g, best = owners[j], dist
+            if g is None:
+                g = len(groups)
+                groups.append([])
+                j = bisect_right(projections, p)
+                projections.insert(j, p)
+                owners.insert(j, g)
+        seen[key] = g
+        groups[g].append(k)
+    return groups
+
+
+def _merge_terms(modes: Sequence[str], forms: Sequence[Sequence[complex]],
+                 offsets: Sequence[complex], polys: Sequence[Poly]) -> GaussPolyState:
+    """State with one term per group of equal forms (Q's entries, then L's);
+    members are summed relative to the group's largest real offset, and
+    coefficient noise is dropped."""
+    size = len(modes) ** 2
+    merged: list[GaussTerm] = []
+    for group in _group_forms(forms):
+        ref = max(offsets[k].real for k in group)
+        poly: Poly = {}
+        for k in group:
+            poly = _poly_add(poly, _poly_scale(polys[k], cmath.exp(offsets[k] - ref)))
+        poly = _poly_compact(poly)
+        if poly:
+            first = forms[group[0]]
+            merged.append(GaussTerm(poly, first[:size], first[size:], ref))
+    return GaussPolyState(tuple(modes), tuple(merged))
+
+
+def _form(t: GaussTerm) -> list[complex]:
+    """The entries of Q, then those of L, as Python complex numbers."""
+    return t.quad.ravel().tolist() + t.lin.tolist()
+
+
 def _raw_multiply(u: GaussPolyState, v: GaussPolyState) -> GaussPolyState:
-    """Termwise product over a shared mode set, without the degree-cap check."""
-    terms = []
-    for tu in u.terms:
-        for tv in v.terms:
-            terms.append(GaussTerm(_poly_mul(dict(tu.poly), dict(tv.poly)),
-                                   tu.quad + tv.quad, tu.lin + tv.lin,
-                                   tu.offset + tv.offset))
-    return GaussPolyState.from_terms(u.modes, terms)
+    """Termwise product over a shared mode set, without the degree-cap check.
+
+    All N_u * N_v forms are summed as arrays and grouped before any term is
+    built, so one ``GaussTerm`` is made per distinct form.
+    """
+    if not u.terms or not v.terms:
+        return GaussPolyState(u.modes, ())
+    fu = np.array([_form(t) for t in u.terms])
+    fv = np.array([_form(t) for t in v.terms])
+    forms = (fu[:, None] + fv[None, :]).reshape(-1, fu.shape[1]).tolist()
+    offsets = [tu.offset + tv.offset for tu in u.terms for tv in v.terms]
+    polys = [_poly_mul(tu.poly, tv.poly) for tu in u.terms for tv in v.terms]
+    return _merge_terms(u.modes, forms, offsets, polys)
 
 
 def _integrate_index(u: GaussPolyState, j: int):
@@ -567,10 +638,12 @@ def hermite_gauss(n: int, mode: str = "x") -> GaussPolyState:
     """n-th harmonic-oscillator eigenfunction as a Gaussian-polynomial state.
 
     Built from the normalised recurrence
-    h_{n+1} = sqrt(2/(n+1)) x h_n - sqrt(n/(n+1)) h_{n-1}, which keeps the
-    coefficients well-scaled for large n.  The monomial-basis representation
-    itself is only well conditioned for generic algebra up to n ~ 25 (term
-    cancellation grows with the degree); photon-number projections of
+    h_{n+1} = sqrt(2/(n+1)) x h_n - sqrt(n/(n+1)) h_{n-1}.  Contractions
+    of the monomial-basis result cancel more with every degree:
+    ``norm_squared(hermite_gauss(n)) - 1`` is about 1e-13 at n = 10 and
+    3e-9 at n = 18, and from n = 19 on (-6.7e4 there, -1.3e5 at n = 20) the
+    ``COEFF_DROP`` pruning of products removes coefficients that the sums
+    need, so such results are meaningless.  Photon-number projections of
     arbitrary states should go through fock.fock_from_wavefunction, which
     uses a stable recurrence instead.
     """

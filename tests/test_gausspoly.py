@@ -27,7 +27,7 @@ from cvcat import (
     relabel,
     superpose,
 )
-from cvcat import oracle, states
+from cvcat import gausspoly, oracle, states
 from cvcat.gausspoly import perturb_first_moment
 
 
@@ -324,6 +324,23 @@ class TestStateBasics:
         assert len(doubled.terms) == 1
         assert fidelity(doubled, u) == approx(1.0, abs=1e-12)
 
+    def test_rounding_twins_merge(self):
+        twin = gaussian_term(1.3, np.nextafter(2.8, 3.0))
+        u = GaussPolyState.from_terms(("x",), [gaussian_term(1.3, 2.8), twin])
+        assert len(u.terms) == 1
+        assert u.terms[0].lin[0] == 2.8
+        assert u.terms[0].poly == {(0,): 2.0 + 0j}
+
+    def test_forms_apart_beyond_rounding_stay_separate(self):
+        u = GaussPolyState.from_terms(("x",), [gaussian_term(1.3, 2.8),
+                                               gaussian_term(1.3, 2.8 * (1 + 1e-9))])
+        assert len(u.terms) == 2
+
+    def test_small_odd_cat_keeps_both_branches(self):
+        u = states.make_ideal_squeezed_cat(1e-3, 0.4029, "odd")
+        assert len(u.terms) == 2
+        assert norm_squared(u) == approx(1.0, abs=1e-9)
+
     def test_relabel(self):
         u = relabel(hermite_gauss(1, "x"), {"x": "s"})
         assert u.modes == ("s",)
@@ -393,3 +410,69 @@ class TestOpenGridEvaluate:
         assert isinstance(hermite_gauss(2).evaluate(0.3), np.complex128)
         pair = multiply(hermite_gauss(1, "x"), hermite_gauss(0, "y"))
         assert isinstance(pair.evaluate(0.3, -0.2), np.complex128)
+
+
+def pairwise_multiply_reference(u, v):
+    """Reference product that builds one GaussTerm per pair of terms."""
+    terms = [GaussTerm(gausspoly._poly_mul(dict(tu.poly), dict(tv.poly)),
+                       tu.quad + tv.quad, tu.lin + tv.lin, tu.offset + tv.offset)
+             for tu in u.terms for tv in v.terms]
+    return GaussPolyState.from_terms(u.modes, terms)
+
+
+def term_bytes(u):
+    return [(sorted(t.poly.items()), t.quad.tobytes(), t.lin.tobytes(),
+             np.complex128(t.offset).tobytes()) for t in u.terms]
+
+
+def full_scan_groups(forms):
+    """Reference grouping that compares each form with every group's first."""
+    groups = []
+    for k, form in enumerate(np.asarray(forms)):
+        dists = [np.abs(forms[g[0]] - form).max() for g in groups]
+        if dists and min(dists) <= gausspoly._FORM_RTOL * np.abs(form).max():
+            groups[int(np.argmin(dists))].append(k)
+        else:
+            groups.append([k])
+    return groups
+
+
+class TestGrouping:
+    @pytest.mark.parametrize("width", [2, 6, 12])
+    def test_matches_full_scan(self, width):
+        rng = np.random.default_rng(60 + width)
+        base = rng.normal(size=(40, width)) + 1j * rng.normal(size=(40, width))
+        base[:10] = np.round(base[:10])  # lattice forms with colliding sums
+        base[10:20] = base[:10, ::-1]  # permuted entries
+        near = base[rng.integers(0, 40, 60)]
+        near = near + rng.uniform(-1, 1, near.shape) * 10.0 ** rng.uniform(
+            -16, -11.5, (60, 1)) * np.abs(near).max(axis=1, keepdims=True)
+        forms = np.concatenate([base, near, base[:5] * (1 + 1e-9)])
+        forms = forms[rng.permutation(len(forms))]
+        groups = gausspoly._group_forms(forms.tolist())
+        assert groups == full_scan_groups(forms)
+        assert 40 < len(groups) < 105
+
+
+class TestArrayProduct:
+    @pytest.mark.parametrize("n_modes", [1, 2, 3])
+    def test_matches_pairwise_reference_bitwise(self, n_modes):
+        rng = np.random.default_rng(40 + n_modes)
+        for _ in range(8):
+            u = oracle.random_gauss_poly(rng, n_modes, max_terms=4)
+            v = oracle.random_gauss_poly(rng, n_modes, max_terms=4)
+            for a, b in ((u, v), (u, u), (gausspoly._conj_state(u), v)):
+                assert term_bytes(gausspoly._raw_multiply(a, b)) \
+                    == term_bytes(pairwise_multiply_reference(a, b))
+
+    def test_shared_forms_match_pairwise_reference_bitwise(self):
+        cat = states.make_ideal_squeezed_cat(1.2, 0.3)
+        for a, b in ((cat, cat), (gausspoly._conj_state(cat), cat)):
+            out = gausspoly._raw_multiply(a, b)
+            assert len(out.terms) == 3
+            assert term_bytes(out) == term_bytes(pairwise_multiply_reference(a, b))
+
+    def test_empty_factor_gives_empty_product(self):
+        zero = GaussPolyState(("x",), ())
+        assert gausspoly._raw_multiply(zero, hermite_gauss(2)).terms == ()
+        assert gausspoly._raw_multiply(hermite_gauss(2), zero).terms == ()

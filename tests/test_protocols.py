@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from cvcat import protocols, states
+from cvcat import oracle, protocols, states
 from cvcat.errors import CapacityError, DomainError, UsageError
 from cvcat.gausspoly import fidelity, norm_squared
 
@@ -272,6 +272,21 @@ class TestAmplify:
         for k, out in enumerate(seq, start=1):
             ladder = states.make_approx(2 ** k, "1")
             assert fidelity(out.output, ladder) == approx(1.0, abs=1e-10)
+
+    def test_ideal_chains_keep_exact_term_counts(self):
+        grid = [0.3 + 2.2 * k / 15 for k in range(16)]
+        for alpha in grid + [1.0, 1.0 + 1e-12]:
+            seq = protocols.amplify_iterate(protocols.IdealCat(alpha, R), 5)
+            assert [len(o.output.terms) for o in seq] == [3, 5, 9, 17, 33], alpha
+
+    @pytest.mark.parametrize("alpha", [0.3, 1.0, 2.5])
+    def test_fifth_step_fidelity_matches_quadrature(self, alpha):
+        out = protocols.amplify_iterate(protocols.IdealCat(alpha, R), 5)[-1]
+        target = states.make_ideal_squeezed_cat(alpha * 2 ** 2.5, R, "even", "1")
+        grid = oracle.GridSpec(-18.0, 18.0, 4096)
+        direct = oracle.quad_fidelity(oracle.sample(target, grid),
+                                      oracle.sample(out.output, grid), grid)
+        assert out.fidelity_vs_target == approx(direct, abs=1e-7)
 
     def test_capacity_error_carries_step(self):
         with pytest.raises(CapacityError) as err:
