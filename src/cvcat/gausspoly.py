@@ -22,8 +22,16 @@ Conventions (used consistently by the rest of the package):
   (2*pi)**-0.5 * integral exp(+i*beta*x) psi(x) dx, which sends the squeezed
   vacuum at beta = 0 to (g/pi)**0.25.
 
-All values are immutable and all operations are pure functions; states can be
-shared freely across threads.
+A state stores its terms stacked, as one form row per term (the entries of
+Q, then of L), one offset and one coefficient dict per term.  The operations
+here read and write those stacked parts and do their form arithmetic on
+arrays (``superpose``, which makes states from parts, goes through
+``GaussPolyState.from_terms`` like the state constructors);
+``GaussPolyState.terms`` builds ``GaussTerm`` views only when it is read.
+
+All values are immutable and all operations are pure functions, so states
+can be shared freely across threads; two threads reading ``terms`` for the
+first time may both build it, but they build equal tuples.
 """
 
 from __future__ import annotations
@@ -32,8 +40,9 @@ import cmath
 import math
 from bisect import bisect_left, bisect_right
 from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import mul
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -137,7 +146,12 @@ def _frozen_array(a, shape) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GaussTerm:
-    """One summand P(x) * exp(-1/2 x.Q.x + L.x + c)."""
+    """One summand P(x) * exp(-1/2 x.Q.x + L.x + c).
+
+    ``poly`` is a read-only view of a private copy of the coefficients, and
+    ``quad`` and ``lin`` are read-only arrays, so a term cannot be changed
+    after it is built.
+    """
 
     poly: Mapping[Monomial, complex]
     quad: np.ndarray
@@ -150,37 +164,77 @@ class GaussTerm:
         q = (q + q.T) / 2.0
         object.__setattr__(self, "quad", _frozen_array(q, (m, m)))
         object.__setattr__(self, "lin", _frozen_array(self.lin, (m,)))
-        object.__setattr__(self, "poly", dict(self.poly))
+        object.__setattr__(self, "poly", MappingProxyType(dict(self.poly)))
         object.__setattr__(self, "offset", complex(self.offset))
+
+    @classmethod
+    def _stored(cls, poly: Poly, quad: np.ndarray, lin: np.ndarray,
+                offset: complex) -> "GaussTerm":
+        """View of one term of a state: ``quad`` was symmetrised when the
+        state was made, ``quad`` and ``lin`` are read-only and ``poly`` is
+        private to the state, so nothing is copied or recomputed."""
+        term = object.__new__(cls)
+        for name, value in (("poly", MappingProxyType(poly)), ("quad", quad),
+                            ("lin", lin), ("offset", offset)):
+            object.__setattr__(term, name, value)
+        return term
 
     @property
     def n_modes(self) -> int:
         return len(self.lin)
 
 
-@dataclass(frozen=True)
 class GaussPolyState:
     """Wavefunction represented as a sum of Gaussian-polynomial terms.
 
-    ``modes`` labels the variables; all terms share the same mode set.
+    ``modes`` labels the variables; all terms share the same mode set.  The
+    terms are stored stacked: one form row per term (the m*m entries of Q,
+    then the m entries of L, in a read-only complex array), one offset per
+    term and one coefficient dict per term, which no operation mutates.
+    ``terms`` is a read-only view of the same content as ``GaussTerm``
+    objects; it is built on first read and cached.  Two threads may race to
+    build it, but they build equal tuples.
     """
 
-    modes: tuple[str, ...]
-    terms: tuple[GaussTerm, ...] = field(default_factory=tuple)
+    __slots__ = ("modes", "_forms", "_offsets", "_polys", "_terms")
 
-    def __post_init__(self):
-        object.__setattr__(self, "modes", tuple(self.modes))
-        object.__setattr__(self, "terms", tuple(self.terms))
-        m = len(self.modes)
+    def __init__(self, modes: Sequence[str], terms: Iterable[GaussTerm] = ()):
+        terms = tuple(terms)
+        self._set(modes, _stack_forms(terms, len(modes)),
+                  np.array([t.offset for t in terms], dtype=complex),
+                  tuple(dict(t.poly) for t in terms), terms)
+
+    def _set(self, modes, forms, offsets, polys, terms) -> None:
+        modes = tuple(modes)
+        m = len(modes)
         if m not in (0, 1, 2, 3):
             raise UsageError(f"states support 1..3 modes, got {m}")
-        if len(set(self.modes)) != m:
-            raise UsageError(f"duplicate mode labels in {self.modes}")
-        for t in self.terms:
-            if t.n_modes != m:
-                raise UsageError("term arity does not match the mode list")
+        if len(set(modes)) != m:
+            raise UsageError(f"duplicate mode labels in {modes}")
+        forms.setflags(write=False)
+        offsets.setflags(write=False)
+        for name, value in (("modes", modes), ("_forms", forms), ("_offsets", offsets),
+                            ("_polys", polys), ("_terms", terms)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GaussPolyState is immutable")
+
+    def __repr__(self) -> str:
+        return f"GaussPolyState(modes={self.modes!r}, terms={self.terms!r})"
+
+    def __reduce__(self):
+        return GaussPolyState._from_parts, (self.modes, self._forms, self._offsets, self._polys)
 
     # -- construction ------------------------------------------------------
+
+    @classmethod
+    def _from_parts(cls, modes: Sequence[str], forms: np.ndarray, offsets: np.ndarray,
+                    polys: Sequence[Poly]) -> "GaussPolyState":
+        """State holding the given stacked parts as they are."""
+        state = object.__new__(cls)
+        state._set(modes, forms, offsets, tuple(polys), None)
+        return state
 
     @classmethod
     def from_terms(cls, modes: Sequence[str], terms: Iterable[GaussTerm]) -> "GaussPolyState":
@@ -193,10 +247,22 @@ class GaussPolyState:
         member's (Q, L).
         """
         terms = list(terms)
-        return _merge_terms(modes, [_form(t) for t in terms],
-                            [t.offset for t in terms], [t.poly for t in terms])
+        return _merge_terms(modes, _stack_forms(terms, len(modes)),
+                            np.array([t.offset for t in terms], dtype=complex),
+                            [t.poly for t in terms])
 
     # -- basic queries -----------------------------------------------------
+
+    @property
+    def terms(self) -> tuple[GaussTerm, ...]:
+        """The terms as ``GaussTerm`` objects, built on first read."""
+        terms = self._terms
+        if terms is None:
+            quads, lins = _split(self._forms, self.n_modes)
+            terms = tuple(GaussTerm._stored(p, q, lin, o) for p, q, lin, o
+                          in zip(self._polys, quads, lins, self._offsets.tolist()))
+            object.__setattr__(self, "_terms", terms)
+        return terms
 
     @property
     def n_modes(self) -> int:
@@ -206,13 +272,13 @@ class GaussPolyState:
         """Maximal polynomial degree per variable across all terms."""
         m = self.n_modes
         degs = [0] * m
-        for t in self.terms:
-            for i, k in enumerate(_poly_degrees(dict(t.poly), m)):
+        for poly in self._polys:
+            for i, k in enumerate(_poly_degrees(poly, m)):
                 degs[i] = max(degs[i], k)
         return tuple(degs)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._polys
 
     def evaluate(self, *coords: np.ndarray) -> np.ndarray:
         """Pointwise wavefunction values on broadcastable coordinate arrays.
@@ -248,8 +314,8 @@ class GaussPolyState:
         if n2 <= 0.0 or not math.isfinite(n2):
             raise DomainError("cannot normalise a zero or non-finite state")
         shift = -0.5 * math.log(n2)
-        terms = [GaussTerm(t.poly, t.quad, t.lin, t.offset + shift) for t in self.terms]
-        return GaussPolyState(self.modes, tuple(terms))
+        return GaussPolyState._from_parts(self.modes, _symmetrized(self._forms, self.n_modes),
+                                          self._offsets + shift, self._polys)
 
 
 @dataclass(frozen=True)
@@ -309,11 +375,40 @@ def _moment_polys(a: complex, b_poly: Poly, kmax: int, zero_key: Monomial) -> li
 # internal plumbing
 # ---------------------------------------------------------------------------
 
+def _stack_forms(terms: Sequence[GaussTerm], m: int) -> np.ndarray:
+    """One form row per term: the entries of Q, then those of L."""
+    if any(t.n_modes != m for t in terms):
+        raise UsageError("term arity does not match the mode list")
+    rows = [t.quad.ravel().tolist() + t.lin.tolist() for t in terms]
+    return np.array(rows, dtype=complex).reshape(len(terms), m * m + m)
+
+
+def _split(forms: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Views of the stacked Q matrices, shape (T, m, m), and L vectors, (T, m)."""
+    return forms[:, :m * m].reshape(len(forms), m, m), forms[:, m * m:]
+
+
+def _join(quads: np.ndarray, lins: np.ndarray) -> np.ndarray:
+    """Form rows from stacked Q matrices and L vectors."""
+    m = lins.shape[1]
+    return np.concatenate([quads.reshape(len(quads), m * m), lins], axis=1)
+
+
+def _symmetrized(forms: np.ndarray, m: int) -> np.ndarray:
+    """Form rows with each Q replaced by (Q + Q^T) / 2, as ``GaussTerm`` does.
+
+    The halving can flip the sign of a zero entry even when Q is symmetric,
+    so each operation applies this exactly where a term would be built term
+    by term, and its outputs keep the bits of that construction.
+    """
+    quads, lins = _split(forms, m)
+    return _join((quads + quads.transpose(0, 2, 1)) / 2.0, lins)
+
+
 def _conj_state(u: GaussPolyState) -> GaussPolyState:
-    terms = [GaussTerm({e: c.conjugate() for e, c in t.poly.items()},
-                       t.quad.conjugate(), t.lin.conjugate(), t.offset.conjugate())
-             for t in u.terms]
-    return GaussPolyState(u.modes, tuple(terms))
+    polys = [{e: c.conjugate() for e, c in p.items()} for p in u._polys]
+    return GaussPolyState._from_parts(u.modes, _symmetrized(u._forms.conj(), u.n_modes),
+                                      u._offsets.conj(), polys)
 
 
 def _aligned(v: GaussPolyState, modes: tuple[str, ...]) -> GaussPolyState:
@@ -321,12 +416,10 @@ def _aligned(v: GaussPolyState, modes: tuple[str, ...]) -> GaussPolyState:
     if v.modes == modes:
         return v
     perm = [v.modes.index(m) for m in modes]
-    idx = np.array(perm)
-    terms = []
-    for t in v.terms:
-        poly = {tuple(e[p] for p in perm): c for e, c in t.poly.items()}
-        terms.append(GaussTerm(poly, t.quad[np.ix_(idx, idx)], t.lin[idx], t.offset))
-    return GaussPolyState(modes, tuple(terms))
+    quads, lins = _split(v._forms, len(modes))
+    forms = _join(quads[:, perm][:, :, perm], lins[:, perm])
+    polys = [{tuple(e[p] for p in perm): c for e, c in poly.items()} for poly in v._polys]
+    return GaussPolyState._from_parts(modes, _symmetrized(forms, len(modes)), v._offsets, polys)
 
 
 def _group_forms(forms: Sequence[Sequence[complex]]) -> list[list[int]]:
@@ -370,43 +463,38 @@ def _group_forms(forms: Sequence[Sequence[complex]]) -> list[list[int]]:
     return groups
 
 
-def _merge_terms(modes: Sequence[str], forms: Sequence[Sequence[complex]],
-                 offsets: Sequence[complex], polys: Sequence[Poly]) -> GaussPolyState:
-    """State with one term per group of equal forms (Q's entries, then L's);
-    members are summed relative to the group's largest real offset, and
-    coefficient noise is dropped."""
-    size = len(modes) ** 2
-    merged: list[GaussTerm] = []
-    for group in _group_forms(forms):
+def _merge_terms(modes: Sequence[str], forms: np.ndarray, offsets: np.ndarray,
+                 polys: Sequence[Poly]) -> GaussPolyState:
+    """State with one term per group of equal form rows (Q's entries, then
+    L's); members are summed relative to the group's largest real offset,
+    coefficient noise is dropped, and a merged term keeps its first member's
+    form, symmetrised."""
+    offsets = offsets.tolist()
+    firsts, refs, merged = [], [], []
+    for group in _group_forms(forms.tolist()):
         ref = max(offsets[k].real for k in group)
         poly: Poly = {}
         for k in group:
             poly = _poly_add(poly, _poly_scale(polys[k], cmath.exp(offsets[k] - ref)))
         poly = _poly_compact(poly)
         if poly:
-            first = forms[group[0]]
-            merged.append(GaussTerm(poly, first[:size], first[size:], ref))
-    return GaussPolyState(tuple(modes), tuple(merged))
-
-
-def _form(t: GaussTerm) -> list[complex]:
-    """The entries of Q, then those of L, as Python complex numbers."""
-    return t.quad.ravel().tolist() + t.lin.tolist()
+            firsts.append(group[0])
+            refs.append(ref)
+            merged.append(poly)
+    return GaussPolyState._from_parts(modes, _symmetrized(forms[firsts], len(modes)),
+                                      np.array(refs, dtype=complex), merged)
 
 
 def _raw_multiply(u: GaussPolyState, v: GaussPolyState) -> GaussPolyState:
     """Termwise product over a shared mode set, without the degree-cap check.
 
-    All N_u * N_v forms are summed as arrays and grouped before any term is
-    built, so one ``GaussTerm`` is made per distinct form.
+    All N_u * N_v forms and offsets are summed as arrays and grouped, so the
+    coefficient products are the only work done pair by pair.
     """
-    if not u.terms or not v.terms:
-        return GaussPolyState(u.modes, ())
-    fu = np.array([_form(t) for t in u.terms])
-    fv = np.array([_form(t) for t in v.terms])
-    forms = (fu[:, None] + fv[None, :]).reshape(-1, fu.shape[1]).tolist()
-    offsets = [tu.offset + tv.offset for tu in u.terms for tv in v.terms]
-    polys = [_poly_mul(tu.poly, tv.poly) for tu in u.terms for tv in v.terms]
+    fu, fv = u._forms, v._forms
+    forms = (fu[:, None] + fv[None, :]).reshape(len(fu) * len(fv), fu.shape[1])
+    offsets = (u._offsets[:, None] + v._offsets[None, :]).ravel()
+    polys = [_poly_mul(pu, pv) for pu in u._polys for pv in v._polys]
     return _merge_terms(u.modes, forms, offsets, polys)
 
 
@@ -414,7 +502,9 @@ def _integrate_index(u: GaussPolyState, j: int):
     """Integrate variable ``j`` out in closed form.
 
     Returns a GaussPolyState on the remaining modes, or a complex number when
-    the last variable is integrated.
+    the last variable is integrated.  The new forms are computed for all
+    terms at once; each offset takes its b0 * b0 / a in numpy scalar
+    arithmetic, whose rounding differs from numpy's vector loops.
     """
     m = u.n_modes
     others = [i for i in range(m) if i != j]
@@ -423,42 +513,44 @@ def _integrate_index(u: GaussPolyState, j: int):
     units = [tuple(1 if t == i else 0 for t in range(len(others)))
              for i in range(len(others))]
 
-    new_terms: list[GaussTerm] = []
-    total = 0j
-    for t in u.terms:
-        a = t.quad[j, j] / 2.0
-        if a.real <= 0.0:
-            raise DomainError("non-integrable exponent while integrating a mode")
-        b0 = t.lin[j] / 2.0
-        bvec = np.array([-t.quad[j, i] / 2.0 for i in others])
+    quads, lins = _split(u._forms, m)
+    a = quads[:, j, j] / 2.0
+    if np.any(a.real <= 0.0):
+        raise DomainError("non-integrable exponent while integrating a mode")
+    b0 = lins[:, j] / 2.0
+    bvec = -quads[:, j, others] / 2.0
 
+    polys: list[Poly] = []
+    offsets = []
+    for t_poly, t_off, ak, b0k, bk in zip(u._polys, u._offsets.tolist(), a, b0, bvec.tolist()):
         by_k: dict[int, Poly] = {}
-        for e, c in t.poly.items():
+        for e, c in t_poly.items():
             rest = tuple(e[i] for i in others)
             sub = by_k.setdefault(e[j], {})
             sub[rest] = sub.get(rest, 0j) + c
         kmax = max(by_k) if by_k else 0
 
-        b_poly: Poly = {zero_key: complex(b0)}
+        b_poly: Poly = {zero_key: complex(b0k)}
         for i, unit in enumerate(units):
-            if bvec[i] != 0:
-                b_poly[unit] = complex(bvec[i])
-        moments = _moment_polys(complex(a), b_poly, kmax, zero_key)
+            if bk[i] != 0:
+                b_poly[unit] = bk[i]
+        moments = _moment_polys(complex(ak), b_poly, kmax, zero_key)
 
         poly: Poly = {}
         for k, sub in by_k.items():
             poly = _poly_add(poly, _poly_mul(sub, moments[k]))
-        poly = _poly_scale(poly, cmath.sqrt(cmath.pi / complex(a)))
-        off = t.offset + b0 * b0 / a
+        polys.append(_poly_scale(poly, cmath.sqrt(cmath.pi / complex(ak))))
+        offsets.append(t_off + b0k * b0k / ak)
 
-        if others:
-            qn = t.quad[np.ix_(others, others)] - 2.0 * np.outer(bvec, bvec) / a
-            ln = t.lin[others] + 2.0 * b0 * bvec / a
-            new_terms.append(GaussTerm(poly, qn, ln, off))
-        else:
-            total += poly.get((), 0j) * cmath.exp(off)
     if others:
-        return GaussPolyState.from_terms(new_modes, new_terms)
+        qn = quads[:, others][:, :, others] \
+            - 2.0 * (bvec[:, :, None] * bvec[:, None, :]) / a[:, None, None]
+        ln = lins[:, others] + (2.0 * b0)[:, None] * bvec / a[:, None]
+        return _merge_terms(new_modes, _symmetrized(_join(qn, ln), len(others)),
+                            np.array(offsets, dtype=complex), polys)
+    total = 0j
+    for poly, off in zip(polys, offsets):
+        total += poly.get((), 0j) * cmath.exp(off)
     return total
 
 
@@ -480,20 +572,20 @@ def multiply(u: GaussPolyState, v: GaussPolyState) -> GaussPolyState:
     elif not set(u.modes) & set(v.modes):
         if u.n_modes + v.n_modes > 3:
             raise UsageError("products beyond three modes are unsupported")
-        modes = u.modes + v.modes
         mu, mv = u.n_modes, v.n_modes
-        terms = []
-        for tu in u.terms:
-            for tv in v.terms:
-                poly = {eu + ev: cu * cv
-                        for eu, cu in tu.poly.items()
-                        for ev, cv in tv.poly.items()}
-                quad = np.zeros((mu + mv, mu + mv), dtype=complex)
-                quad[:mu, :mu] = tu.quad
-                quad[mu:, mu:] = tv.quad
-                lin = np.concatenate([tu.lin, tv.lin])
-                terms.append(GaussTerm(poly, quad, lin, tu.offset + tv.offset))
-        out = GaussPolyState.from_terms(modes, terms)
+        m = mu + mv
+        (qu, lu), (qv, lv) = _split(u._forms, mu), _split(v._forms, mv)
+        nu, nv = len(qu), len(qv)
+        quads = np.zeros((nu, nv, m, m), dtype=complex)
+        quads[:, :, :mu, :mu] = qu[:, None]
+        quads[:, :, mu:, mu:] = qv[None, :]
+        lins = np.concatenate([np.broadcast_to(lu[:, None], (nu, nv, mu)),
+                               np.broadcast_to(lv[None, :], (nu, nv, mv))], axis=2)
+        forms = _join(quads.reshape(nu * nv, m, m), lins.reshape(nu * nv, m))
+        offsets = (u._offsets[:, None] + v._offsets[None, :]).ravel()
+        polys = [{eu + ev: cu * cv for eu, cu in pu.items() for ev, cv in pv.items()}
+                 for pu in u._polys for pv in v._polys]
+        out = _merge_terms(u.modes + v.modes, _symmetrized(forms, m), offsets, polys)
     else:
         raise UsageError("mode sets must match exactly or be disjoint")
     if any(d > DEGREE_CAP for d in out.degrees()):
@@ -539,10 +631,10 @@ def beam_splitter(u: GaussPolyState, mode_i: str, mode_j: str) -> GaussPolyState
     rot[i, i] = rot[j, j] = rot[j, i] = 1.0 / _SQRT2
     rot[i, j] = -1.0 / _SQRT2
 
-    terms = []
-    for t in u.terms:
+    polys = []
+    for t_poly in u._polys:
         poly: Poly = {}
-        for e, c in t.poly.items():
+        for e, c in t_poly.items():
             p, q = e[i], e[j]
             base = c / _SQRT2 ** (p + q)
             for s in range(p + 1):
@@ -553,8 +645,11 @@ def beam_splitter(u: GaussPolyState, mode_i: str, mode_j: str) -> GaussPolyState
                     e2[j] = (p - s) + (q - r)
                     key = tuple(e2)
                     poly[key] = poly.get(key, 0j) + coef
-        terms.append(GaussTerm(poly, rot.T @ t.quad @ rot, rot.T @ t.lin, t.offset))
-    return GaussPolyState.from_terms(u.modes, terms)
+        polys.append(poly)
+    quads, lins = _split(u._forms, m)
+    # one matrix product per term, as before; ``lins @ rot`` rounds differently
+    forms = _join(rot.T @ quads @ rot, (rot.T @ lins[:, :, None])[:, :, 0])
+    return _merge_terms(u.modes, _symmetrized(forms, m), u._offsets, polys)
 
 
 def condition_x(u: GaussPolyState, mode: str, value: float):
@@ -569,24 +664,23 @@ def condition_x(u: GaussPolyState, mode: str, value: float):
     others = [i for i in range(m) if i != j]
     new_modes = tuple(u.modes[i] for i in others)
 
-    new_terms: list[GaussTerm] = []
-    total = 0j
-    for t in u.terms:
+    polys = []
+    for t_poly in u._polys:
         poly: Poly = {}
-        for e, c in t.poly.items():
+        for e, c in t_poly.items():
             coef = c * value ** e[j] if e[j] else c
             rest = tuple(e[i] for i in others)
             poly[rest] = poly.get(rest, 0j) + coef
-        off = t.offset - 0.5 * t.quad[j, j] * value * value + t.lin[j] * value
-        if others:
-            idx = np.array(others)
-            qn = t.quad[np.ix_(idx, idx)]
-            ln = t.lin[idx] - t.quad[idx, j] * value
-            new_terms.append(GaussTerm(poly, qn, ln, off))
-        else:
-            total += poly.get((), 0j) * cmath.exp(off)
+        polys.append(poly)
+    quads, lins = _split(u._forms, m)
+    offsets = u._offsets - 0.5 * quads[:, j, j] * value * value + lins[:, j] * value
     if others:
-        return GaussPolyState.from_terms(new_modes, new_terms)
+        forms = _join(quads[:, others][:, :, others],
+                      lins[:, others] - quads[:, others, j] * value)
+        return _merge_terms(new_modes, _symmetrized(forms, len(others)), offsets, polys)
+    total = 0j
+    for poly, off in zip(polys, offsets.tolist()):
+        total += poly.get((), 0j) * cmath.exp(off)
     return total
 
 
@@ -599,22 +693,25 @@ def project_p(u: GaussPolyState, mode: str, beta: float):
     yields (g/pi)**0.25.
     """
     j = _mode_index(u, mode)
+    m = u.n_modes
     scale = 1.0 / math.sqrt(2.0 * math.pi)
-    shifted = []
-    for t in u.terms:
-        lin = t.lin.copy()
-        lin[j] = lin[j] + 1j * beta
-        shifted.append(GaussTerm(t.poly, t.quad, lin, t.offset))
-    res = _integrate_index(GaussPolyState(u.modes, tuple(shifted)), j)
+    forms = _symmetrized(u._forms, m)
+    forms[:, m * m + j] += 1j * beta
+    res = _integrate_index(GaussPolyState._from_parts(u.modes, forms, u._offsets, u._polys), j)
     if isinstance(res, GaussPolyState):
-        terms = [GaussTerm(_poly_scale(dict(t.poly), scale), t.quad, t.lin, t.offset)
-                 for t in res.terms]
-        return GaussPolyState(res.modes, tuple(terms))
+        polys = [_poly_scale(p, scale) for p in res._polys]
+        return GaussPolyState._from_parts(res.modes, _symmetrized(res._forms, res.n_modes),
+                                          res._offsets, polys)
     return res * scale
 
 
 def superpose(states: Sequence[GaussPolyState], coeffs: Sequence[complex]) -> GaussPolyState:
-    """Linear combination sum_k coeffs[k] * states[k] over a common mode set."""
+    """Linear combination sum_k coeffs[k] * states[k] over a common mode set.
+
+    Unlike the other operations it builds its terms and goes through
+    ``GaussPolyState.from_terms``: it makes states from parts (signals, cats)
+    rather than transforming them, and its inputs have a term or two.
+    """
     if len(states) != len(coeffs) or not states:
         raise UsageError("superpose needs one coefficient per state")
     modes = states[0].modes
@@ -623,15 +720,14 @@ def superpose(states: Sequence[GaussPolyState], coeffs: Sequence[complex]) -> Ga
         if set(s.modes) != set(modes):
             raise UsageError("superpose needs identical mode sets")
         for t in _aligned(s, modes).terms:
-            terms.append(GaussTerm(_poly_scale(dict(t.poly), complex(c)),
-                                   t.quad, t.lin, t.offset))
+            terms.append(GaussTerm(_poly_scale(t.poly, complex(c)), t.quad, t.lin, t.offset))
     return GaussPolyState.from_terms(modes, terms)
 
 
 def relabel(u: GaussPolyState, mapping: Mapping[str, str]) -> GaussPolyState:
     """Rename modes; the wavefunction itself is untouched."""
     modes = tuple(mapping.get(m, m) for m in u.modes)
-    return GaussPolyState(modes, u.terms)
+    return GaussPolyState._from_parts(modes, u._forms, u._offsets, u._polys)
 
 
 def hermite_gauss(n: int, mode: str = "x") -> GaussPolyState:

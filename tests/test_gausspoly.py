@@ -1,4 +1,7 @@
+import cmath
 import math
+import pickle
+import sys
 import threading
 
 import numpy as np
@@ -27,7 +30,7 @@ from cvcat import (
     relabel,
     superpose,
 )
-from cvcat import gausspoly, oracle, states
+from cvcat import gausspoly, oracle, protocols, states
 from cvcat.gausspoly import perturb_first_moment
 
 
@@ -421,7 +424,7 @@ def pairwise_multiply_reference(u, v):
 
 
 def term_bytes(u):
-    return [(sorted(t.poly.items()), t.quad.tobytes(), t.lin.tobytes(),
+    return [(coeff_bytes(t.poly), t.quad.tobytes(), t.lin.tobytes(),
              np.complex128(t.offset).tobytes()) for t in u.terms]
 
 
@@ -476,3 +479,296 @@ class TestArrayProduct:
         zero = GaussPolyState(("x",), ())
         assert gausspoly._raw_multiply(zero, hermite_gauss(2)).terms == ()
         assert gausspoly._raw_multiply(hermite_gauss(2), zero).terms == ()
+
+
+# ---------------------------------------------------------------------------
+# stacked storage: per-term references and the read-only term view
+# ---------------------------------------------------------------------------
+
+def coeff_bytes(poly):
+    return sorted((e, np.complex128(c).tobytes()) for e, c in poly.items())
+
+
+def exact_bytes(u):
+    """Every bit of a state (or of a complex amplitude)."""
+    if not isinstance(u, GaussPolyState):
+        return np.complex128(u).tobytes()
+    return u.modes, term_bytes(u)
+
+
+def reference_conj(u):
+    return GaussPolyState(u.modes, [
+        GaussTerm({e: c.conjugate() for e, c in t.poly.items()},
+                  t.quad.conjugate(), t.lin.conjugate(), t.offset.conjugate())
+        for t in u.terms])
+
+
+def reference_aligned(v, modes):
+    if v.modes == modes:
+        return v
+    perm = [v.modes.index(m) for m in modes]
+    idx = np.array(perm)
+    return GaussPolyState(modes, [
+        GaussTerm({tuple(e[p] for p in perm): c for e, c in t.poly.items()},
+                  t.quad[np.ix_(idx, idx)], t.lin[idx], t.offset)
+        for t in v.terms])
+
+
+def reference_disjoint_multiply(u, v):
+    mu, mv = u.n_modes, v.n_modes
+    terms = []
+    for tu in u.terms:
+        for tv in v.terms:
+            poly = {eu + ev: cu * cv for eu, cu in tu.poly.items() for ev, cv in tv.poly.items()}
+            quad = np.zeros((mu + mv, mu + mv), dtype=complex)
+            quad[:mu, :mu] = tu.quad
+            quad[mu:, mu:] = tv.quad
+            terms.append(GaussTerm(poly, quad, np.concatenate([tu.lin, tv.lin]),
+                                   tu.offset + tv.offset))
+    return GaussPolyState.from_terms(u.modes + v.modes, terms)
+
+
+def reference_beam_splitter(u, mode_i, mode_j):
+    i, j = u.modes.index(mode_i), u.modes.index(mode_j)
+    rot = np.eye(u.n_modes, dtype=complex)
+    rot[i, i] = rot[j, j] = rot[j, i] = 1.0 / math.sqrt(2.0)
+    rot[i, j] = -1.0 / math.sqrt(2.0)
+    terms = []
+    for t in u.terms:
+        poly = {}
+        for e, c in t.poly.items():
+            p, q = e[i], e[j]
+            base = c / math.sqrt(2.0) ** (p + q)
+            for s in range(p + 1):
+                for r in range(q + 1):
+                    coef = base * math.comb(p, s) * math.comb(q, r) * (-1.0) ** (p - s)
+                    e2 = list(e)
+                    e2[i], e2[j] = s + r, (p - s) + (q - r)
+                    poly[tuple(e2)] = poly.get(tuple(e2), 0j) + coef
+        terms.append(GaussTerm(poly, rot.T @ t.quad @ rot, rot.T @ t.lin, t.offset))
+    return GaussPolyState.from_terms(u.modes, terms)
+
+
+def reference_condition_x(u, mode, value):
+    j = u.modes.index(mode)
+    others = [i for i in range(u.n_modes) if i != j]
+    terms, total = [], 0j
+    for t in u.terms:
+        poly = {}
+        for e, c in t.poly.items():
+            rest = tuple(e[i] for i in others)
+            poly[rest] = poly.get(rest, 0j) + (c * value ** e[j] if e[j] else c)
+        off = t.offset - 0.5 * t.quad[j, j] * value * value + t.lin[j] * value
+        if others:
+            idx = np.array(others)
+            terms.append(GaussTerm(poly, t.quad[np.ix_(idx, idx)],
+                                   t.lin[idx] - t.quad[idx, j] * value, off))
+        else:
+            total += poly.get((), 0j) * cmath.exp(off)
+    if others:
+        return GaussPolyState.from_terms(tuple(u.modes[i] for i in others), terms)
+    return total
+
+
+def reference_integrate(u, j):
+    others = [i for i in range(u.n_modes) if i != j]
+    zero_key = (0,) * len(others)
+    units = [tuple(1 if t == i else 0 for t in range(len(others))) for i in range(len(others))]
+    terms, total = [], 0j
+    for t in u.terms:
+        a = t.quad[j, j] / 2.0
+        b0 = t.lin[j] / 2.0
+        bvec = np.array([-t.quad[j, i] / 2.0 for i in others])
+        by_k = {}
+        for e, c in t.poly.items():
+            sub = by_k.setdefault(e[j], {})
+            rest = tuple(e[i] for i in others)
+            sub[rest] = sub.get(rest, 0j) + c
+        b_poly = {zero_key: complex(b0)}
+        for i, unit in enumerate(units):
+            if bvec[i] != 0:
+                b_poly[unit] = complex(bvec[i])
+        moments = gausspoly._moment_polys(complex(a), b_poly, max(by_k, default=0), zero_key)
+        poly = {}
+        for k, sub in by_k.items():
+            poly = gausspoly._poly_add(poly, gausspoly._poly_mul(sub, moments[k]))
+        poly = gausspoly._poly_scale(poly, cmath.sqrt(cmath.pi / complex(a)))
+        off = t.offset + b0 * b0 / a
+        if others:
+            qn = t.quad[np.ix_(others, others)] - 2.0 * np.outer(bvec, bvec) / a
+            terms.append(GaussTerm(poly, qn, t.lin[others] + 2.0 * b0 * bvec / a, off))
+        else:
+            total += poly.get((), 0j) * cmath.exp(off)
+    if others:
+        return GaussPolyState.from_terms(tuple(u.modes[i] for i in others), terms)
+    return total
+
+
+def reference_project_p(u, mode, beta):
+    j = u.modes.index(mode)
+    shifted = []
+    for t in u.terms:
+        lin = t.lin.copy()
+        lin[j] = lin[j] + 1j * beta
+        shifted.append(GaussTerm(t.poly, t.quad, lin, t.offset))
+    res = reference_integrate(GaussPolyState(u.modes, shifted), j)
+    scale = 1.0 / math.sqrt(2.0 * math.pi)
+    if isinstance(res, GaussPolyState):
+        return GaussPolyState(res.modes, [
+            GaussTerm(gausspoly._poly_scale(t.poly, scale), t.quad, t.lin, t.offset)
+            for t in res.terms])
+    return res * scale
+
+
+def reference_inner_product(u, v):
+    w = pairwise_multiply_reference(reference_conj(u), reference_aligned(v, u.modes))
+    for _ in range(w.n_modes):
+        w = reference_integrate(w, 0)
+    return w
+
+
+def with_rounding_twins(u):
+    """``u`` plus a copy of each term whose L is one ulp away, unmerged."""
+    twins = [GaussTerm(t.poly, t.quad, np.nextafter(t.lin.real, np.inf) + 1j * t.lin.imag,
+                       t.offset + 0.1) for t in u.terms]
+    return GaussPolyState(u.modes, u.terms + tuple(twins))
+
+
+def stacked_samples(n_modes, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(4):
+        yield oracle.random_gauss_poly(rng, n_modes, max_terms=4)
+    u = oracle.random_gauss_poly(rng, n_modes, max_terms=3)
+    yield with_rounding_twins(u)
+    yield superpose([u, u], [0.5, 1j])  # shared forms, merged
+
+
+class TestStackedOperationsMatchPerTermReferences:
+    @pytest.mark.parametrize("n_modes", [1, 2, 3])
+    def test_conditioning_projection_and_integration(self, n_modes):
+        for u in stacked_samples(n_modes, 70 + n_modes):
+            for mode in u.modes:
+                j = u.modes.index(mode)
+                for value in (0.0, 0.37):
+                    assert exact_bytes(condition_x(u, mode, value)) \
+                        == exact_bytes(reference_condition_x(u, mode, value))
+                for beta in (0.0, -0.8):
+                    assert exact_bytes(project_p(u, mode, beta)) \
+                        == exact_bytes(reference_project_p(u, mode, beta))
+                assert exact_bytes(gausspoly._integrate_index(u, j)) \
+                    == exact_bytes(reference_integrate(u, j))
+
+    @pytest.mark.parametrize("n_modes", [2, 3])
+    def test_beam_splitter(self, n_modes):
+        for u in stacked_samples(n_modes, 80 + n_modes):
+            for a, b in ((0, 1), (1, 0), (n_modes - 1, 0)):
+                mi, mj = u.modes[a], u.modes[b]
+                assert exact_bytes(beam_splitter(u, mi, mj)) \
+                    == exact_bytes(reference_beam_splitter(u, mi, mj))
+
+    @pytest.mark.parametrize("mu, mv", [(1, 1), (1, 2), (2, 1)])
+    def test_disjoint_multiply(self, mu, mv):
+        us = list(stacked_samples(mu, 90 + mu))
+        vs = [relabel(v, {m: m.upper() for m in v.modes})
+              for v in stacked_samples(mv, 95 + mv)]
+        for u, v in zip(us, vs):
+            assert exact_bytes(multiply(u, v)) == exact_bytes(reference_disjoint_multiply(u, v))
+
+    @pytest.mark.parametrize("n_modes", [1, 2, 3])
+    def test_inner_products_and_normalisation(self, n_modes):
+        samples = list(stacked_samples(n_modes, 100 + n_modes))
+        for u, v in zip(samples, samples[1:] + samples[:1]):
+            v = reference_aligned(v, u.modes[::-1])  # inner products realign v
+            assert exact_bytes(inner_product(u, v)) \
+                == exact_bytes(reference_inner_product(u, v))
+            shift = -0.5 * math.log(reference_inner_product(u, u).real)
+            ref = GaussPolyState(u.modes, [GaussTerm(t.poly, t.quad, t.lin, t.offset + shift)
+                                           for t in u.terms])
+            assert exact_bytes(u.normalized()) == exact_bytes(ref)
+
+    def test_amplify_step_with_shared_forms(self):
+        cat = states.make_ideal_squeezed_cat(1.1, 0.4029, "even", "1")
+        pair = multiply(cat, relabel(cat, {"1": "2"}))
+        assert exact_bytes(pair) == exact_bytes(
+            reference_disjoint_multiply(cat, relabel(cat, {"1": "2"})))
+        mixed = beam_splitter(pair, "1", "2")
+        assert exact_bytes(mixed) == exact_bytes(reference_beam_splitter(pair, "1", "2"))
+        out = condition_x(mixed, "2", 0.0)
+        assert len(out.terms) == 3
+        assert exact_bytes(out) == exact_bytes(reference_condition_x(mixed, "2", 0.0))
+
+
+class TestTermView:
+    def test_term_polynomials_are_read_only(self):
+        u = states.make_approx(2, "x")
+        v = relabel(u, {"x": "y"})
+        with pytest.raises(TypeError):
+            v.terms[0].poly[(0,)] = 5.0
+        assert norm_squared(u) == approx(1.0, abs=1e-12)
+
+    def test_terms_copy_their_input_polynomial(self):
+        poly = {(0,): 1.0 + 0j}
+        term = gaussian_term(1.0, 0.0, poly=poly)
+        poly[(0,)] = 5.0
+        assert term.poly == {(0,): 1.0 + 0j}
+
+    def test_term_arrays_are_read_only(self):
+        (term,) = multiply(hermite_gauss(1, "a"), hermite_gauss(0, "b")).terms
+        with pytest.raises(ValueError):
+            term.quad[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            term.lin[0] = 2.0
+
+    def test_amplify_step_builds_no_terms_until_read(self, monkeypatch):
+        cur = states.make_ideal_squeezed_cat(1.2, 0.4029, "even", "1")
+        for _ in range(4):
+            cur = protocols._amplify_state(cur)
+        assert len(cur.terms) == 17
+        built = []
+        post_init = GaussTerm.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(GaussTerm, "__post_init__", counting)
+        out = protocols._amplify_state(cur)
+        assert built == []
+        terms = out.terms
+        assert out.terms is terms
+        assert len(terms) == 33
+
+    def test_states_cannot_be_reassigned(self):
+        u = hermite_gauss(1)
+        with pytest.raises(AttributeError):
+            u.modes = ("y",)
+
+    def test_states_pickle_bitwise(self):
+        u = beam_splitter(multiply(states.make_approx(2, "a"), hermite_gauss(1, "b")), "a", "b")
+        back = pickle.loads(pickle.dumps(u))
+        assert exact_bytes(back) == exact_bytes(u)
+        with pytest.raises(ValueError):
+            back.terms[0].quad[0, 0] = 1.0
+
+    def test_racing_first_reads_build_equal_terms(self):
+        cat = states.make_ideal_squeezed_cat(1.2, 0.4029, "even", "1")
+        pair = multiply(cat, relabel(cat, {"1": "2"}))
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                u = beam_splitter(pair, "1", "2")
+                seen = []
+                workers = [threading.Thread(target=lambda: seen.append(u.terms))
+                           for _ in range(8)]
+                for w in workers:
+                    w.start()
+                for w in workers:
+                    w.join(timeout=30)
+                assert not any(w.is_alive() for w in workers)
+                assert len(seen) == 8
+                assert all(exact_bytes(GaussPolyState(u.modes, terms)) == exact_bytes(u)
+                           for terms in seen)
+                assert u.terms is u.terms
+        finally:
+            sys.setswitchinterval(switch)
