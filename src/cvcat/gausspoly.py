@@ -23,10 +23,10 @@ Conventions (used consistently by the rest of the package):
   vacuum at beta = 0 to (g/pi)**0.25.
 
 A state stores its terms stacked, as one form row per term (the entries of
-Q, then of L), one offset and one coefficient dict per term.  The operations
-here read and write those stacked parts and do their form arithmetic on
-arrays (``superpose``, which makes states from parts, goes through
-``GaussPolyState.from_terms`` like the state constructors);
+Q, then of L), one offset and one coefficient dict per term.  Every
+operation does its form arithmetic on these arrays and ends in one merge
+step, which merges equal forms and symmetrises Q.  Only ``superpose``, which
+makes states from parts, builds ``GaussTerm``s, like the state constructors;
 ``GaussPolyState.terms`` builds ``GaussTerm`` views only when it is read.
 
 All values are immutable and all operations are pure functions, so states
@@ -125,15 +125,6 @@ def _poly_compact(a: Poly) -> Poly:
     return {e: c for e, c in a.items() if abs(c) >= floor}
 
 
-def _poly_degrees(a: Poly, m: int) -> tuple[int, ...]:
-    degs = [0] * m
-    for e in a:
-        for i, k in enumerate(e):
-            if k > degs[i]:
-                degs[i] = k
-    return tuple(degs)
-
-
 # ---------------------------------------------------------------------------
 # data types
 # ---------------------------------------------------------------------------
@@ -207,7 +198,7 @@ class GaussPolyState:
     def _set(self, modes, forms, offsets, polys, terms) -> None:
         modes = tuple(modes)
         m = len(modes)
-        if m not in (0, 1, 2, 3):
+        if m not in (1, 2, 3):
             raise UsageError(f"states support 1..3 modes, got {m}")
         if len(set(modes)) != m:
             raise UsageError(f"duplicate mode labels in {modes}")
@@ -270,15 +261,13 @@ class GaussPolyState:
 
     def degrees(self) -> tuple[int, ...]:
         """Maximal polynomial degree per variable across all terms."""
-        m = self.n_modes
-        degs = [0] * m
+        degs = [0] * self.n_modes
         for poly in self._polys:
-            for i, k in enumerate(_poly_degrees(poly, m)):
-                degs[i] = max(degs[i], k)
+            for e in poly:
+                for i, k in enumerate(e):
+                    if k > degs[i]:
+                        degs[i] = k
         return tuple(degs)
-
-    def is_zero(self) -> bool:
-        return not self._polys
 
     def evaluate(self, *coords: np.ndarray) -> np.ndarray:
         """Pointwise wavefunction values on broadcastable coordinate arrays.
@@ -314,8 +303,8 @@ class GaussPolyState:
         if n2 <= 0.0 or not math.isfinite(n2):
             raise DomainError("cannot normalise a zero or non-finite state")
         shift = -0.5 * math.log(n2)
-        return GaussPolyState._from_parts(self.modes, _symmetrized(self._forms, self.n_modes),
-                                          self._offsets + shift, self._polys)
+        return GaussPolyState._from_parts(self.modes, self._forms, self._offsets + shift,
+                                          self._polys)
 
 
 @dataclass(frozen=True)
@@ -394,21 +383,9 @@ def _join(quads: np.ndarray, lins: np.ndarray) -> np.ndarray:
     return np.concatenate([quads.reshape(len(quads), m * m), lins], axis=1)
 
 
-def _symmetrized(forms: np.ndarray, m: int) -> np.ndarray:
-    """Form rows with each Q replaced by (Q + Q^T) / 2, as ``GaussTerm`` does.
-
-    The halving can flip the sign of a zero entry even when Q is symmetric,
-    so each operation applies this exactly where a term would be built term
-    by term, and its outputs keep the bits of that construction.
-    """
-    quads, lins = _split(forms, m)
-    return _join((quads + quads.transpose(0, 2, 1)) / 2.0, lins)
-
-
 def _conj_state(u: GaussPolyState) -> GaussPolyState:
     polys = [{e: c.conjugate() for e, c in p.items()} for p in u._polys]
-    return GaussPolyState._from_parts(u.modes, _symmetrized(u._forms.conj(), u.n_modes),
-                                      u._offsets.conj(), polys)
+    return GaussPolyState._from_parts(u.modes, u._forms.conj(), u._offsets.conj(), polys)
 
 
 def _aligned(v: GaussPolyState, modes: tuple[str, ...]) -> GaussPolyState:
@@ -419,7 +396,7 @@ def _aligned(v: GaussPolyState, modes: tuple[str, ...]) -> GaussPolyState:
     quads, lins = _split(v._forms, len(modes))
     forms = _join(quads[:, perm][:, :, perm], lins[:, perm])
     polys = [{tuple(e[p] for p in perm): c for e, c in poly.items()} for poly in v._polys]
-    return GaussPolyState._from_parts(modes, _symmetrized(forms, len(modes)), v._offsets, polys)
+    return GaussPolyState._from_parts(modes, forms, v._offsets, polys)
 
 
 def _group_forms(forms: Sequence[Sequence[complex]]) -> list[list[int]]:
@@ -464,12 +441,18 @@ def _group_forms(forms: Sequence[Sequence[complex]]) -> list[list[int]]:
 
 
 def _merge_terms(modes: Sequence[str], forms: np.ndarray, offsets: np.ndarray,
-                 polys: Sequence[Poly]) -> GaussPolyState:
-    """State with one term per group of equal form rows (Q's entries, then
-    L's); members are summed relative to the group's largest real offset,
-    coefficient noise is dropped, and a merged term keeps its first member's
-    form, symmetrised."""
+                 polys: Sequence[Poly]) -> GaussPolyState | complex:
+    """Finish an operation: one term per group of equal form rows (Q's
+    entries, then L's), members summed relative to the group's largest real
+    offset, coefficient noise dropped, and each kept form's Q replaced by
+    (Q + Q^T) / 2, the only symmetrisation an operation does.  With no mode
+    left, the amplitude sum_k c_k * exp(offset_k) instead."""
     offsets = offsets.tolist()
+    if not modes:
+        total = 0j
+        for poly, off in zip(polys, offsets):
+            total += poly.get((), 0j) * cmath.exp(off)
+        return total
     firsts, refs, merged = [], [], []
     for group in _group_forms(forms.tolist()):
         ref = max(offsets[k].real for k in group)
@@ -481,7 +464,8 @@ def _merge_terms(modes: Sequence[str], forms: np.ndarray, offsets: np.ndarray,
             firsts.append(group[0])
             refs.append(ref)
             merged.append(poly)
-    return GaussPolyState._from_parts(modes, _symmetrized(forms[firsts], len(modes)),
+    quads, lins = _split(forms[firsts], len(modes))
+    return GaussPolyState._from_parts(modes, _join((quads + quads.transpose(0, 2, 1)) / 2.0, lins),
                                       np.array(refs, dtype=complex), merged)
 
 
@@ -542,16 +526,10 @@ def _integrate_index(u: GaussPolyState, j: int):
         polys.append(_poly_scale(poly, cmath.sqrt(cmath.pi / complex(ak))))
         offsets.append(t_off + b0k * b0k / ak)
 
-    if others:
-        qn = quads[:, others][:, :, others] \
-            - 2.0 * (bvec[:, :, None] * bvec[:, None, :]) / a[:, None, None]
-        ln = lins[:, others] + (2.0 * b0)[:, None] * bvec / a[:, None]
-        return _merge_terms(new_modes, _symmetrized(_join(qn, ln), len(others)),
-                            np.array(offsets, dtype=complex), polys)
-    total = 0j
-    for poly, off in zip(polys, offsets):
-        total += poly.get((), 0j) * cmath.exp(off)
-    return total
+    qn = quads[:, others][:, :, others] \
+        - 2.0 * (bvec[:, :, None] * bvec[:, None, :]) / a[:, None, None]
+    ln = lins[:, others] + (2.0 * b0)[:, None] * bvec / a[:, None]
+    return _merge_terms(new_modes, _join(qn, ln), np.array(offsets, dtype=complex), polys)
 
 
 def _mode_index(u: GaussPolyState, mode: str) -> int:
@@ -585,7 +563,7 @@ def multiply(u: GaussPolyState, v: GaussPolyState) -> GaussPolyState:
         offsets = (u._offsets[:, None] + v._offsets[None, :]).ravel()
         polys = [{eu + ev: cu * cv for eu, cu in pu.items() for ev, cv in pv.items()}
                  for pu in u._polys for pv in v._polys]
-        out = _merge_terms(u.modes + v.modes, _symmetrized(forms, m), offsets, polys)
+        out = _merge_terms(u.modes + v.modes, forms, offsets, polys)
     else:
         raise UsageError("mode sets must match exactly or be disjoint")
     if any(d > DEGREE_CAP for d in out.degrees()):
@@ -600,8 +578,6 @@ def inner_product(u: GaussPolyState, v: GaussPolyState) -> complex:
     w = _raw_multiply(_conj_state(u), _aligned(v, u.modes))
     for _ in range(w.n_modes):
         w = _integrate_index(w, 0)
-    if isinstance(w, GaussPolyState):  # zero-term state short-circuits
-        return 0j
     return w
 
 
@@ -649,7 +625,7 @@ def beam_splitter(u: GaussPolyState, mode_i: str, mode_j: str) -> GaussPolyState
     quads, lins = _split(u._forms, m)
     # one matrix product per term, as before; ``lins @ rot`` rounds differently
     forms = _join(rot.T @ quads @ rot, (rot.T @ lins[:, :, None])[:, :, 0])
-    return _merge_terms(u.modes, _symmetrized(forms, m), u._offsets, polys)
+    return _merge_terms(u.modes, forms, u._offsets, polys)
 
 
 def condition_x(u: GaussPolyState, mode: str, value: float):
@@ -674,14 +650,8 @@ def condition_x(u: GaussPolyState, mode: str, value: float):
         polys.append(poly)
     quads, lins = _split(u._forms, m)
     offsets = u._offsets - 0.5 * quads[:, j, j] * value * value + lins[:, j] * value
-    if others:
-        forms = _join(quads[:, others][:, :, others],
-                      lins[:, others] - quads[:, others, j] * value)
-        return _merge_terms(new_modes, _symmetrized(forms, len(others)), offsets, polys)
-    total = 0j
-    for poly, off in zip(polys, offsets.tolist()):
-        total += poly.get((), 0j) * cmath.exp(off)
-    return total
+    forms = _join(quads[:, others][:, :, others], lins[:, others] - quads[:, others, j] * value)
+    return _merge_terms(new_modes, forms, offsets, polys)
 
 
 def project_p(u: GaussPolyState, mode: str, beta: float):
@@ -695,13 +665,12 @@ def project_p(u: GaussPolyState, mode: str, beta: float):
     j = _mode_index(u, mode)
     m = u.n_modes
     scale = 1.0 / math.sqrt(2.0 * math.pi)
-    forms = _symmetrized(u._forms, m)
+    forms = u._forms.copy()
     forms[:, m * m + j] += 1j * beta
     res = _integrate_index(GaussPolyState._from_parts(u.modes, forms, u._offsets, u._polys), j)
     if isinstance(res, GaussPolyState):
         polys = [_poly_scale(p, scale) for p in res._polys]
-        return GaussPolyState._from_parts(res.modes, _symmetrized(res._forms, res.n_modes),
-                                          res._offsets, polys)
+        return GaussPolyState._from_parts(res.modes, res._forms, res._offsets, polys)
     return res * scale
 
 

@@ -186,19 +186,18 @@ class TeleportChannel:
     overlap: np.ndarray
     basis_gram: np.ndarray
     out_gram: np.ndarray
-    components: tuple[GaussPolyState, GaussPolyState] | None = None
 
     def fidelity_grid(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         a = np.asarray(a, dtype=complex)
         b = np.asarray(b, dtype=complex)
-        m, s, h = self.overlap, self.basis_gram, self.out_gram
-        num = np.abs(np.conj(a) * (m[0, 0] * a + m[0, 1] * b)
-                     + np.conj(b) * (m[1, 0] * a + m[1, 1] * b)) ** 2
-        sden = (np.conj(a) * (s[0, 0] * a + s[0, 1] * b)
-                + np.conj(b) * (s[1, 0] * a + s[1, 1] * b)).real
-        hden = (np.conj(a) * (h[0, 0] * a + h[0, 1] * b)
-                + np.conj(b) * (h[1, 0] * a + h[1, 1] * b)).real
-        return num / (sden * hden)
+
+        def form(g: np.ndarray) -> np.ndarray:
+            """conj(v) . g . v at every grid point, v = (a, b)."""
+            return np.conj(a) * (g[0, 0] * a + g[0, 1] * b) \
+                + np.conj(b) * (g[1, 0] * a + g[1, 1] * b)
+
+        return np.abs(form(self.overlap)) ** 2 \
+            / (form(self.basis_gram).real * form(self.out_gram).real)
 
     def fidelity(self, a: complex, b: complex) -> float:
         return float(self.fidelity_grid(np.array(a), np.array(b)))
@@ -221,7 +220,7 @@ def teleport_channel(alpha: float, r: float, resource: Resource,
     m = np.array([[inner_product(bi, oj) for oj in outs] for bi in basis])
     s = np.array([[inner_product(bi, bj) for bj in basis] for bi in basis])
     h = np.array([[inner_product(oi, oj) for oj in outs] for oi in outs])
-    return TeleportChannel(alpha, r, beta, m, s, h, (outs[0], outs[1]))
+    return TeleportChannel(alpha, r, beta, m, s, h)
 
 
 # ---------------------------------------------------------------------------
@@ -352,22 +351,21 @@ def fidelity_lower_bound(ratio: float) -> float:
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """Inclusive (theta, phi) grid; rows are emitted theta-major."""
+    """Inclusive (theta, phi) grid over [0, pi] x [0, 2 pi]; rows are emitted
+    theta-major."""
 
     theta_points: int = 33
     phi_points: int = 65
-    theta_range: tuple[float, float] = (0.0, math.pi)
-    phi_range: tuple[float, float] = (0.0, 2.0 * math.pi)
 
     def __post_init__(self):
         if self.theta_points < 2 or self.phi_points < 2:
             raise UsageError("grid resolution must be at least 2x2")
 
     def thetas(self) -> np.ndarray:
-        return np.linspace(*self.theta_range, self.theta_points)
+        return np.linspace(0.0, math.pi, self.theta_points)
 
     def phis(self) -> np.ndarray:
-        return np.linspace(*self.phi_range, self.phi_points)
+        return np.linspace(0.0, 2.0 * math.pi, self.phi_points)
 
 
 def fidelity_map(resource: Resource, alpha: float, r: float,

@@ -352,6 +352,11 @@ class TestStateBasics:
         with pytest.raises(UsageError):
             GaussPolyState(("a", "b", "c", "d"), ())
 
+    def test_constructor_rejects_zero_modes(self):
+        constant = GaussTerm({(): 2.0}, np.zeros((0, 0)), np.zeros(0), 0)
+        with pytest.raises(UsageError):
+            GaussPolyState((), [constant])
+
     def test_evaluate_matches_manual_gaussian(self):
         u = states.make_squeezed_coherent(0.8, 0.1)
         xs = np.linspace(-3, 3, 11)
@@ -627,6 +632,12 @@ def reference_inner_product(u, v):
     return w
 
 
+def quads_symmetric(u):
+    """Every Q of a state is bitwise symmetric (true of a complex amplitude)."""
+    return not isinstance(u, GaussPolyState) or all(
+        t.quad.tobytes() == t.quad.T.copy().tobytes() for t in u.terms)
+
+
 def with_rounding_twins(u):
     """``u`` plus a copy of each term whose L is one ulp away, unmerged."""
     twins = [GaussTerm(t.poly, t.quad, np.nextafter(t.lin.real, np.inf) + 1j * t.lin.imag,
@@ -650,21 +661,25 @@ class TestStackedOperationsMatchPerTermReferences:
             for mode in u.modes:
                 j = u.modes.index(mode)
                 for value in (0.0, 0.37):
-                    assert exact_bytes(condition_x(u, mode, value)) \
-                        == exact_bytes(reference_condition_x(u, mode, value))
+                    out = condition_x(u, mode, value)
+                    assert exact_bytes(out) == exact_bytes(reference_condition_x(u, mode, value))
+                    assert quads_symmetric(out)
                 for beta in (0.0, -0.8):
-                    assert exact_bytes(project_p(u, mode, beta)) \
-                        == exact_bytes(reference_project_p(u, mode, beta))
-                assert exact_bytes(gausspoly._integrate_index(u, j)) \
-                    == exact_bytes(reference_integrate(u, j))
+                    out = project_p(u, mode, beta)
+                    assert exact_bytes(out) == exact_bytes(reference_project_p(u, mode, beta))
+                    assert quads_symmetric(out)
+                out = gausspoly._integrate_index(u, j)
+                assert exact_bytes(out) == exact_bytes(reference_integrate(u, j))
+                assert quads_symmetric(out)
 
     @pytest.mark.parametrize("n_modes", [2, 3])
     def test_beam_splitter(self, n_modes):
         for u in stacked_samples(n_modes, 80 + n_modes):
             for a, b in ((0, 1), (1, 0), (n_modes - 1, 0)):
                 mi, mj = u.modes[a], u.modes[b]
-                assert exact_bytes(beam_splitter(u, mi, mj)) \
-                    == exact_bytes(reference_beam_splitter(u, mi, mj))
+                out = beam_splitter(u, mi, mj)
+                assert exact_bytes(out) == exact_bytes(reference_beam_splitter(u, mi, mj))
+                assert quads_symmetric(out)
 
     @pytest.mark.parametrize("mu, mv", [(1, 1), (1, 2), (2, 1)])
     def test_disjoint_multiply(self, mu, mv):
@@ -672,7 +687,9 @@ class TestStackedOperationsMatchPerTermReferences:
         vs = [relabel(v, {m: m.upper() for m in v.modes})
               for v in stacked_samples(mv, 95 + mv)]
         for u, v in zip(us, vs):
-            assert exact_bytes(multiply(u, v)) == exact_bytes(reference_disjoint_multiply(u, v))
+            out = multiply(u, v)
+            assert exact_bytes(out) == exact_bytes(reference_disjoint_multiply(u, v))
+            assert quads_symmetric(out)
 
     @pytest.mark.parametrize("n_modes", [1, 2, 3])
     def test_inner_products_and_normalisation(self, n_modes):
@@ -685,6 +702,7 @@ class TestStackedOperationsMatchPerTermReferences:
             ref = GaussPolyState(u.modes, [GaussTerm(t.poly, t.quad, t.lin, t.offset + shift)
                                            for t in u.terms])
             assert exact_bytes(u.normalized()) == exact_bytes(ref)
+            assert quads_symmetric(u.normalized())
 
     def test_amplify_step_with_shared_forms(self):
         cat = states.make_ideal_squeezed_cat(1.1, 0.4029, "even", "1")
@@ -696,6 +714,7 @@ class TestStackedOperationsMatchPerTermReferences:
         out = condition_x(mixed, "2", 0.0)
         assert len(out.terms) == 3
         assert exact_bytes(out) == exact_bytes(reference_condition_x(mixed, "2", 0.0))
+        assert all(quads_symmetric(w) for w in (pair, mixed, out))
 
 
 class TestTermView:
