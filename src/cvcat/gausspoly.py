@@ -55,9 +55,6 @@ Poly = dict[Monomial, complex]
 #: Largest polynomial degree per variable a state may carry.
 DEGREE_CAP = 64
 
-#: Coefficients below this fraction of a term's largest coefficient are dropped.
-COEFF_DROP = 1e-14
-
 # Gaussian forms (Q, L) closer than this fraction of the form's largest entry
 # are one form reached along different rounding paths.  Over every grouping
 # in the ideal-cat amplify chains (16 alpha over [0.3, 2.5], five steps) such
@@ -113,16 +110,6 @@ def _poly_mul(a: Poly, b: Poly) -> Poly:
 
 def _poly_scale(a: Poly, s: complex) -> Poly:
     return {e: c * s for e, c in a.items()}
-
-
-def _poly_compact(a: Poly) -> Poly:
-    if not a:
-        return {}
-    top = max(abs(c) for c in a.values())
-    if top == 0.0:
-        return {}
-    floor = top * COEFF_DROP
-    return {e: c for e, c in a.items() if abs(c) >= floor}
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +216,8 @@ class GaussPolyState:
 
     @classmethod
     def from_terms(cls, modes: Sequence[str], terms: Iterable[GaussTerm]) -> "GaussPolyState":
-        """Build a state, merging terms with equal Gaussian forms and dropping noise.
+        """Build a state, merging terms with equal Gaussian forms and dropping
+        exact-zero coefficients.
 
         Two forms (Q, L) count as equal when their entries are equal or when
         their largest entrywise distance is at most ``_FORM_RTOL`` (1e-12)
@@ -299,12 +287,7 @@ class GaussPolyState:
 
     def normalized(self) -> "GaussPolyState":
         """Rescale to unit norm; raises DomainError on a zero state."""
-        n2 = norm_squared(self)
-        if n2 <= 0.0 or not math.isfinite(n2):
-            raise DomainError("cannot normalise a zero or non-finite state")
-        shift = -0.5 * math.log(n2)
-        return GaussPolyState._from_parts(self.modes, self._forms, self._offsets + shift,
-                                          self._polys)
+        return _unit_scaled(self, norm_squared(self))
 
 
 @dataclass(frozen=True)
@@ -444,7 +427,8 @@ def _merge_terms(modes: Sequence[str], forms: np.ndarray, offsets: np.ndarray,
                  polys: Sequence[Poly]) -> GaussPolyState | complex:
     """Finish an operation: one term per group of equal form rows (Q's
     entries, then L's), members summed relative to the group's largest real
-    offset, coefficient noise dropped, and each kept form's Q replaced by
+    offset, exact-zero coefficients and all-zero terms dropped (every other
+    coefficient is kept), and each kept form's Q replaced by
     (Q + Q^T) / 2, the only symmetrisation an operation does.  With no mode
     left, the amplitude sum_k c_k * exp(offset_k) instead."""
     offsets = offsets.tolist()
@@ -459,7 +443,7 @@ def _merge_terms(modes: Sequence[str], forms: np.ndarray, offsets: np.ndarray,
         poly: Poly = {}
         for k in group:
             poly = _poly_add(poly, _poly_scale(polys[k], cmath.exp(offsets[k] - ref)))
-        poly = _poly_compact(poly)
+        poly = {e: c for e, c in poly.items() if c}
         if poly:
             firsts.append(group[0])
             refs.append(ref)
@@ -585,6 +569,15 @@ def norm_squared(u: GaussPolyState) -> float:
     return inner_product(u, u).real
 
 
+def _unit_scaled(u: GaussPolyState, n2: float) -> GaussPolyState:
+    """``u`` rescaled to unit norm, given its squared norm ``n2``; raises
+    DomainError when ``n2`` is zero, negative or not finite."""
+    if n2 <= 0.0 or not math.isfinite(n2):
+        raise DomainError("cannot normalise a zero or non-finite state")
+    shift = -0.5 * math.log(n2)
+    return GaussPolyState._from_parts(u.modes, u._forms, u._offsets + shift, u._polys)
+
+
 def fidelity(u: GaussPolyState, v: GaussPolyState) -> float:
     """|<u|v>|^2 between the normalised versions of two states."""
     nu, nv = norm_squared(u), norm_squared(v)
@@ -705,12 +698,13 @@ def hermite_gauss(n: int, mode: str = "x") -> GaussPolyState:
     Built from the normalised recurrence
     h_{n+1} = sqrt(2/(n+1)) x h_n - sqrt(n/(n+1)) h_{n-1}.  Contractions
     of the monomial-basis result cancel more with every degree:
-    ``norm_squared(hermite_gauss(n)) - 1`` is about 1e-13 at n = 10 and
-    3e-9 at n = 18, and from n = 19 on (-6.7e4 there, -1.3e5 at n = 20) the
-    ``COEFF_DROP`` pruning of products removes coefficients that the sums
-    need, so such results are meaningless.  Photon-number projections of
-    arbitrary states should go through fock.fock_from_wavefunction, which
-    uses a stable recurrence instead.
+    ``norm_squared(hermite_gauss(n)) - 1`` is about 1e-13 at n = 10, 3e-9 at
+    n = 18, 1.1e-8 at n = 19, 2.3e-8 at n = 20 and -1.4e-6 at n = 25.  Every
+    coefficient is kept, so this error is cancellation in the monomial
+    basis: large moments of alternating sign rounded before they are summed
+    (see ROADMAP item 2).  Photon-number projections of arbitrary states
+    should go through fock.fock_from_wavefunction, which uses a stable
+    recurrence instead.
     """
     if n < 0:
         raise UsageError("excitation number must be >= 0")

@@ -35,6 +35,7 @@ from .gausspoly import (
     _moment_polys,
     _poly_add,
     _poly_mul,
+    _unit_scaled,
     beam_splitter,
     condition_x,
     fidelity,
@@ -158,7 +159,7 @@ def teleport(signal: SignalParams, resource: Resource,
     weight = norm_squared(raw)
     if not weight > HERALD_FLOOR:
         return TeleportOutcome(None, 0.0, 0.0, accepted=False)
-    out = raw.normalized()
+    out = _unit_scaled(raw, weight)
     ref = relabel(make_signal(signal), {"s": "2"})
     return TeleportOutcome(out, weight, fidelity(ref, out))
 

@@ -164,6 +164,11 @@ class TestInnerProduct:
         assert v_swapped.modes == ("2", "1")
         assert inner_product(u, v_swapped) == approx(inner_product(u, v_direct), rel=1e-12)
 
+    @pytest.mark.parametrize("n", [19, 20])
+    def test_high_degree_hermite_norm(self, n):
+        # off 1 by 1.1e-8 and 2.3e-8: cancellation in the monomial basis
+        assert abs(norm_squared(hermite_gauss(n)) - 1.0) < 1e-6
+
     @given(seed=st.integers(0, 10_000))
     def test_conjugate_symmetry(self, seed):
         rng = np.random.default_rng(seed)
@@ -316,6 +321,19 @@ class TestStateBasics:
         zero = GaussPolyState(("x",), ())
         with pytest.raises(DomainError):
             zero.normalized()
+
+    @pytest.mark.parametrize("n2", [0.0, -1.0, math.inf, math.nan])
+    def test_rescaling_rejects_zero_or_non_finite_norm(self, n2):
+        with pytest.raises(DomainError):
+            gausspoly._unit_scaled(hermite_gauss(1), n2)
+
+    def test_merge_drops_only_exact_zeros(self):
+        u = GaussPolyState.from_terms(("x",), [
+            gaussian_term(1.0, 0.0, poly={(0,): 1.0 + 0j, (1,): 1e-30 + 0j, (2,): 0j}),
+            gaussian_term(2.0, 0.0, poly={(0,): 0j}),
+        ])
+        assert len(u.terms) == 1
+        assert dict(u.terms[0].poly) == {(0,): 1.0 + 0j, (1,): 1e-30 + 0j}
 
     def test_renormalisation(self):
         u = superpose([states.make_squeezed_coherent(0.5), hermite_gauss(2)], [0.4, 1.7])

@@ -70,6 +70,36 @@ class TestTeleportApprox:
             assert chan.fidelity(a, b) == approx(direct.fidelity_vs_signal, abs=1e-12)
 
 
+class TestTeleportOracle:
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_fidelity_matches_quadrature(self, n):
+        # signal amplitude matched to the ladder, sqrt(n/2); the quadrature
+        # on this 1024-point grid agrees with a 4096-point grid on [-18, 18]
+        # to 5e-16 at both n
+        p = signal(math.cos(math.pi / 4), math.sin(math.pi / 4), alpha=math.sqrt(n / 2))
+        res = protocols.ApproxResource(n)
+        grid = oracle.GridSpec(points=1024)
+        direct = oracle.quad_fidelity(
+            oracle.sample(states.make_signal(p), grid),
+            oracle.quad_teleport(p, n, protocols.default_beta(p, res), grid), grid)
+        assert abs(protocols.teleport(p, res).fidelity_vs_signal - direct) < 1e-7
+
+    def test_output_is_the_normalised_pipeline_state(self):
+        p = signal(0.8, 0.3j)
+        res = protocols.ApproxResource(4)
+        beta = protocols.default_beta(p, res)
+        raw = protocols._pipeline(states.make_signal(p, mode="s"),
+                                  protocols.resource_state(res, p), beta)
+        out = protocols.teleport(p, res).output
+        ref = raw.normalized()
+        assert out.modes == ref.modes
+        for t, u in zip(out.terms, ref.terms, strict=True):
+            assert t.quad.tobytes() == u.quad.tobytes()
+            assert t.lin.tobytes() == u.lin.tobytes()
+            assert np.complex128(t.offset).tobytes() == np.complex128(u.offset).tobytes()
+            assert dict(t.poly) == dict(u.poly)
+
+
 class TestClosedForm:
     def test_vacuum_resource_single_term(self):
         state = protocols.output_closed_form(signal(1, 0), 0, 0.0)
