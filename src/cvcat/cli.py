@@ -58,9 +58,12 @@ _config_option = click.option(
 def _parse_range(text: str) -> np.ndarray:
     try:
         start, stop, count = text.split(",")
-        return np.linspace(float(start), float(stop), int(count))
+        values = np.linspace(float(start), float(stop), int(count))
     except ValueError as exc:
         raise click.UsageError(f"range {text!r} must be start,stop,count") from exc
+    if not len(values):
+        raise click.UsageError(f"range {text!r} needs a count of at least 1")
+    return values
 
 
 def _parse_grid(text: str) -> tuple[int, int]:

@@ -25,13 +25,13 @@ Conventions (used consistently by the rest of the package):
 A state stores its terms stacked, as one form row per term (the entries of
 Q, then of L), one offset and one coefficient dict per term.  Every
 operation does its form arithmetic on these arrays and ends in one merge
-step, which merges equal forms and symmetrises Q.  Only ``superpose``, which
-makes states from parts, builds ``GaussTerm``s, like the state constructors;
-``GaussPolyState.terms`` builds ``GaussTerm`` views only when it is read.
+step, which merges equal forms and symmetrises Q; every product, pointwise
+or tensor, is one ``_raw_multiply`` over a common mode order.  Only
+``superpose``, which makes states from parts, builds ``GaussTerm``s, like the
+state constructors; ``GaussPolyState.terms`` returns fresh read-only copies.
 
-All values are immutable and all operations are pure functions, so states
-can be shared freely across threads; two threads reading ``terms`` for the
-first time may both build it, but they build equal tuples.
+No state is written after it is built and all operations are pure
+functions, so states can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import math
 from bisect import bisect_left, bisect_right
 from contextvars import ContextVar
 from dataclasses import dataclass
-from operator import mul
+from operator import add, mul
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -103,7 +103,7 @@ def _poly_mul(a: Poly, b: Poly) -> Poly:
     out: Poly = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
+            e = tuple(map(add, ea, eb))
             out[e] = out.get(e, 0j) + ca * cb
     return out
 
@@ -145,18 +145,6 @@ class GaussTerm:
         object.__setattr__(self, "poly", MappingProxyType(dict(self.poly)))
         object.__setattr__(self, "offset", complex(self.offset))
 
-    @classmethod
-    def _stored(cls, poly: Poly, quad: np.ndarray, lin: np.ndarray,
-                offset: complex) -> "GaussTerm":
-        """View of one term of a state: ``quad`` was symmetrised when the
-        state was made, ``quad`` and ``lin`` are read-only and ``poly`` is
-        private to the state, so nothing is copied or recomputed."""
-        term = object.__new__(cls)
-        for name, value in (("poly", MappingProxyType(poly)), ("quad", quad),
-                            ("lin", lin), ("offset", offset)):
-            object.__setattr__(term, name, value)
-        return term
-
     @property
     def n_modes(self) -> int:
         return len(self.lin)
@@ -168,21 +156,17 @@ class GaussPolyState:
     ``modes`` labels the variables; all terms share the same mode set.  The
     terms are stored stacked: one form row per term (the m*m entries of Q,
     then the m entries of L, in a read-only complex array), one offset per
-    term and one coefficient dict per term, which no operation mutates.
-    ``terms`` is a read-only view of the same content as ``GaussTerm``
-    objects; it is built on first read and cached.  Two threads may race to
-    build it, but they build equal tuples.
+    term and one coefficient dict per term.  Nothing writes to a state after
+    it is built; ``terms`` returns the same content as fresh read-only
+    ``GaussTerm`` copies on every read.
     """
 
-    __slots__ = ("modes", "_forms", "_offsets", "_polys", "_terms")
+    __slots__ = ("modes", "_forms", "_offsets", "_polys")
 
     def __init__(self, modes: Sequence[str], terms: Iterable[GaussTerm] = ()):
-        terms = tuple(terms)
-        self._set(modes, _stack_forms(terms, len(modes)),
-                  np.array([t.offset for t in terms], dtype=complex),
-                  tuple(dict(t.poly) for t in terms), terms)
+        self._set(modes, *_stack(list(terms), len(modes)))
 
-    def _set(self, modes, forms, offsets, polys, terms) -> None:
+    def _set(self, modes, forms, offsets, polys) -> None:
         modes = tuple(modes)
         m = len(modes)
         if m not in (1, 2, 3):
@@ -192,7 +176,7 @@ class GaussPolyState:
         forms.setflags(write=False)
         offsets.setflags(write=False)
         for name, value in (("modes", modes), ("_forms", forms), ("_offsets", offsets),
-                            ("_polys", polys), ("_terms", terms)):
+                            ("_polys", tuple(polys))):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -211,7 +195,7 @@ class GaussPolyState:
                     polys: Sequence[Poly]) -> "GaussPolyState":
         """State holding the given stacked parts as they are."""
         state = object.__new__(cls)
-        state._set(modes, forms, offsets, tuple(polys), None)
+        state._set(modes, forms, offsets, polys)
         return state
 
     @classmethod
@@ -225,23 +209,14 @@ class GaussPolyState:
         took different rounding paths merge.  A merged term keeps its first
         member's (Q, L).
         """
-        terms = list(terms)
-        return _merge_terms(modes, _stack_forms(terms, len(modes)),
-                            np.array([t.offset for t in terms], dtype=complex),
-                            [t.poly for t in terms])
+        return _merge_terms(modes, *_stack(list(terms), len(modes)))
 
     # -- basic queries -----------------------------------------------------
 
     @property
     def terms(self) -> tuple[GaussTerm, ...]:
-        """The terms as ``GaussTerm`` objects, built on first read."""
-        terms = self._terms
-        if terms is None:
-            quads, lins = _split(self._forms, self.n_modes)
-            terms = tuple(GaussTerm._stored(p, q, lin, o) for p, q, lin, o
-                          in zip(self._polys, quads, lins, self._offsets.tolist()))
-            object.__setattr__(self, "_terms", terms)
-        return terms
+        """The terms as new read-only ``GaussTerm`` objects, built on every read."""
+        return tuple(GaussTerm(*row) for row in _rows(self))
 
     @property
     def n_modes(self) -> int:
@@ -269,14 +244,14 @@ class GaussPolyState:
             raise UsageError(f"expected {self.n_modes} coordinate arrays")
         xs = [np.asarray(c) for c in coords]
         out = np.zeros(np.broadcast(*xs).shape if xs else (), dtype=complex)
-        for t in self.terms:
-            expo = t.offset
+        for t_poly, quad, lin, off in _rows(self):
+            expo = off
             for i, xi in enumerate(xs):
-                expo = expo + t.lin[i] * xi - 0.5 * t.quad[i, i] * xi * xi
+                expo = expo + lin[i] * xi - 0.5 * quad[i, i] * xi * xi
                 for j in range(i + 1, len(xs)):
-                    expo = expo - t.quad[i, j] * xi * xs[j]
+                    expo = expo - quad[i, j] * xi * xs[j]
             poly = 0
-            for e, c in t.poly.items():
+            for e, c in t_poly.items():
                 mono = np.complex128(c)
                 for i, k in enumerate(e):
                     if k:
@@ -347,17 +322,26 @@ def _moment_polys(a: complex, b_poly: Poly, kmax: int, zero_key: Monomial) -> li
 # internal plumbing
 # ---------------------------------------------------------------------------
 
-def _stack_forms(terms: Sequence[GaussTerm], m: int) -> np.ndarray:
-    """One form row per term: the entries of Q, then those of L."""
+def _stack(terms: Sequence[GaussTerm], m: int) -> tuple[np.ndarray, np.ndarray, list[Poly]]:
+    """Stacked parts of terms on m modes: one form row per term (the entries
+    of Q, then those of L), the offsets and a copy of each coefficient dict."""
     if any(t.n_modes != m for t in terms):
         raise UsageError("term arity does not match the mode list")
     rows = [t.quad.ravel().tolist() + t.lin.tolist() for t in terms]
-    return np.array(rows, dtype=complex).reshape(len(terms), m * m + m)
+    return (np.array(rows, dtype=complex).reshape(len(terms), m * m + m),
+            np.array([t.offset for t in terms], dtype=complex),
+            [dict(t.poly) for t in terms])
 
 
 def _split(forms: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Views of the stacked Q matrices, shape (T, m, m), and L vectors, (T, m)."""
     return forms[:, :m * m].reshape(len(forms), m, m), forms[:, m * m:]
+
+
+def _rows(u: GaussPolyState):
+    """(coefficients, Q, L, offset) of each term of ``u``, from its stacked parts."""
+    quads, lins = _split(u._forms, u.n_modes)
+    return zip(u._polys, quads, lins, u._offsets.tolist())
 
 
 def _join(quads: np.ndarray, lins: np.ndarray) -> np.ndarray:
@@ -372,13 +356,19 @@ def _conj_state(u: GaussPolyState) -> GaussPolyState:
 
 
 def _aligned(v: GaussPolyState, modes: tuple[str, ...]) -> GaussPolyState:
-    """Permute the variables of ``v`` into the given mode order."""
+    """``v`` on ``modes``, a superset of its own: its variables permuted into
+    that order, and each mode it lacks given a zero row and column in Q, a
+    zero in L and exponent 0."""
     if v.modes == modes:
         return v
-    perm = [v.modes.index(m) for m in modes]
-    quads, lins = _split(v._forms, len(modes))
-    forms = _join(quads[:, perm][:, :, perm], lins[:, perm])
-    polys = [{tuple(e[p] for p in perm): c for e, c in poly.items()} for poly in v._polys]
+    m = len(modes)
+    pos = [modes.index(x) for x in v.modes]
+    cols = [i * m + j for i in pos for j in pos] + [m * m + i for i in pos]
+    forms = np.zeros((len(v._forms), m * m + m), dtype=complex)
+    forms[:, cols] = v._forms
+    take = [v.modes.index(x) if x in v.modes else -1 for x in modes]
+    polys = [{tuple(e[i] if i >= 0 else 0 for i in take): c for e, c in poly.items()}
+             for poly in v._polys]
     return GaussPolyState._from_parts(modes, forms, v._offsets, polys)
 
 
@@ -528,28 +518,17 @@ def _mode_index(u: GaussPolyState, mode: str) -> int:
 # ---------------------------------------------------------------------------
 
 def multiply(u: GaussPolyState, v: GaussPolyState) -> GaussPolyState:
-    """Pointwise product (same modes) or tensor product (disjoint modes)."""
-    if u.modes == v.modes or set(u.modes) == set(v.modes):
-        out = _raw_multiply(u, _aligned(v, u.modes))
-    elif not set(u.modes) & set(v.modes):
-        if u.n_modes + v.n_modes > 3:
-            raise UsageError("products beyond three modes are unsupported")
-        mu, mv = u.n_modes, v.n_modes
-        m = mu + mv
-        (qu, lu), (qv, lv) = _split(u._forms, mu), _split(v._forms, mv)
-        nu, nv = len(qu), len(qv)
-        quads = np.zeros((nu, nv, m, m), dtype=complex)
-        quads[:, :, :mu, :mu] = qu[:, None]
-        quads[:, :, mu:, mu:] = qv[None, :]
-        lins = np.concatenate([np.broadcast_to(lu[:, None], (nu, nv, mu)),
-                               np.broadcast_to(lv[None, :], (nu, nv, mv))], axis=2)
-        forms = _join(quads.reshape(nu * nv, m, m), lins.reshape(nu * nv, m))
-        offsets = (u._offsets[:, None] + v._offsets[None, :]).ravel()
-        polys = [{eu + ev: cu * cv for eu, cu in pu.items() for ev, cv in pv.items()}
-                 for pu in u._polys for pv in v._polys]
-        out = _merge_terms(u.modes + v.modes, forms, offsets, polys)
+    """Pointwise product (same modes) or tensor product (disjoint modes, in
+    the order u's then v's)."""
+    if set(u.modes) == set(v.modes):
+        modes = u.modes
+    elif set(u.modes).isdisjoint(v.modes):
+        modes = u.modes + v.modes
     else:
         raise UsageError("mode sets must match exactly or be disjoint")
+    if len(modes) > 3:
+        raise UsageError("products beyond three modes are unsupported")
+    out = _raw_multiply(_aligned(u, modes), _aligned(v, modes))
     if any(d > DEGREE_CAP for d in out.degrees()):
         raise CapacityError(f"polynomial degree cap {DEGREE_CAP} exceeded")
     return out
@@ -681,8 +660,8 @@ def superpose(states: Sequence[GaussPolyState], coeffs: Sequence[complex]) -> Ga
     for s, c in zip(states, coeffs):
         if set(s.modes) != set(modes):
             raise UsageError("superpose needs identical mode sets")
-        for t in _aligned(s, modes).terms:
-            terms.append(GaussTerm(_poly_scale(t.poly, complex(c)), t.quad, t.lin, t.offset))
+        for poly, q, lin, off in _rows(_aligned(s, modes)):
+            terms.append(GaussTerm(_poly_scale(poly, complex(c)), q, lin, off))
     return GaussPolyState.from_terms(modes, terms)
 
 

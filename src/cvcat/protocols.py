@@ -160,8 +160,7 @@ def teleport(signal: SignalParams, resource: Resource,
     if not weight > HERALD_FLOOR:
         return TeleportOutcome(None, 0.0, 0.0, accepted=False)
     out = _unit_scaled(raw, weight)
-    ref = relabel(make_signal(signal), {"s": "2"})
-    return TeleportOutcome(out, weight, fidelity(ref, out))
+    return TeleportOutcome(out, weight, fidelity(relabel(sig, {"s": "2"}), out))
 
 
 # ---------------------------------------------------------------------------
@@ -210,14 +209,13 @@ def teleport_channel(alpha: float, r: float, resource: Resource,
     probe = SignalParams(1.0, 0.0, alpha, r)
     if beta is None:
         beta = default_beta(probe, resource)
-    basis = [relabel(make_squeezed_coherent(s * alpha, r, "s"), {"s": "2"})
-             for s in (1.0, -1.0)]
+    branches = [make_squeezed_coherent(s * alpha, r, "s") for s in (1.0, -1.0)]
+    basis = [relabel(b, {"s": "2"}) for b in branches]
     if isinstance(resource, IdentityResource):
         outs = basis
     else:
         res = resource_state(resource, probe)
-        outs = [_pipeline(make_squeezed_coherent(s * alpha, r, "s"), res, beta)
-                for s in (1.0, -1.0)]
+        outs = [_pipeline(b, res, beta) for b in branches]
     m = np.array([[inner_product(bi, oj) for oj in outs] for bi in basis])
     s = np.array([[inner_product(bi, bj) for bj in basis] for bi in basis])
     h = np.array([[inner_product(oi, oj) for oj in outs] for oi in outs])
@@ -377,11 +375,7 @@ def fidelity_map(resource: Resource, alpha: float, r: float,
     chan = teleport_channel(alpha, r, resource, beta)
     th, ph = np.meshgrid(grid.thetas(), grid.phis(), indexing="ij")
     vals = chan.fidelity_grid(np.cos(th), np.exp(1j * ph) * np.sin(th))
-    rows = []
-    for i, theta in enumerate(grid.thetas()):
-        for j, phi in enumerate(grid.phis()):
-            rows.append((float(theta), float(phi), float(vals[i, j])))
-    return rows
+    return list(zip(th.ravel().tolist(), ph.ravel().tolist(), vals.ravel().tolist()))
 
 
 Parametrization = Literal["half-angle", "figure-angle"]
@@ -403,6 +397,10 @@ class BlochQuadrature:
     n_phi: int = 64
     tol: float = 1e-5
     max_doublings: int = 5
+
+    def __post_init__(self):
+        if self.n_theta < 1 or self.n_phi < 1:
+            raise UsageError("quadrature resolution must be at least 1x1")
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import fock, oracle, protocols, states
+from .errors import UsageError
 from .gausspoly import (
     GaussianMomentSpec,
     beam_splitter,
@@ -65,14 +66,7 @@ class Report:
     reference_notes: list[dict] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "seed": self.seed,
-            "trials": self.trials,
-            "perturbation": self.perturbation,
-            "checks": [asdict(c) for c in self.checks],
-            "reference_notes": list(self.reference_notes),
-        }
+        return asdict(self)
 
 
 def _check(name: str, margin: float, tol: float, detail: str = "") -> Check:
@@ -434,6 +428,8 @@ def _reference_notes() -> list[dict]:
 
 def run_validation(seed: int = 20260808, trials: int = 30,
                    perturbation: float = 0.0) -> Report:
+    if trials < 1:
+        raise UsageError("the oracle corpus needs at least 1 trial")
     def gather() -> Report:
         checks: list[Check] = []
         checks += _moment_checks()

@@ -203,6 +203,21 @@ class TestCliPlumbing:
         res = runner.invoke(main, ["truncation", "--alpha-range", "nonsense"])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("args", [
+        ["truncation", "--alpha-range", "0,1,0"],
+        ["amplify", "--alpha-range", "0,1,0"],
+        ["avg-fidelity", "--grid", "0x4"],
+        ["avg-fidelity", "--grid", "-2x4"],
+        ["avg-fidelity", "--grid", "4x0"],
+        ["validate", "--trials", "0"],
+        ["validate", "--trials", "-1"],
+    ], ids=["truncation-count-0", "amplify-count-0", "avg-grid-0x4", "avg-grid--2x4",
+            "avg-grid-4x0", "validate-trials-0", "validate-trials--1"])
+    def test_vacuous_input_exit_two(self, runner, args):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)
+
     @pytest.mark.parametrize("command, text", [
         ("truncation", "format = xml\n"),
         ("validate", "trials = abc\n"),

@@ -1,7 +1,6 @@
 import cmath
 import math
 import pickle
-import sys
 import threading
 
 import numpy as np
@@ -130,6 +129,14 @@ class TestMultiply:
         u = multiply(hermite_gauss(0, "1"), hermite_gauss(0, "2"))
         v = multiply(hermite_gauss(0, "2"), hermite_gauss(0, "3"))
         with pytest.raises(UsageError):
+            multiply(u, v)
+        with pytest.raises(UsageError):
+            multiply(u, hermite_gauss(1, "2"))  # a subset overlaps too
+
+    def test_product_beyond_three_modes_rejected(self):
+        u = multiply(hermite_gauss(0, "1"), hermite_gauss(0, "2"))
+        v = multiply(hermite_gauss(0, "3"), hermite_gauss(0, "4"))
+        with pytest.raises(UsageError, match="three modes"):
             multiply(u, v)
 
 
@@ -490,6 +497,9 @@ class TestArrayProduct:
             for a, b in ((u, v), (u, u), (gausspoly._conj_state(u), v)):
                 assert term_bytes(gausspoly._raw_multiply(a, b)) \
                     == term_bytes(pairwise_multiply_reference(a, b))
+            reversed_v = reference_aligned(v, v.modes[::-1])
+            assert term_bytes(multiply(u, reversed_v)) \
+                == term_bytes(pairwise_multiply_reference(u, v))
 
     def test_shared_forms_match_pairwise_reference_bitwise(self):
         cat = states.make_ideal_squeezed_cat(1.2, 0.3)
@@ -771,9 +781,8 @@ class TestTermView:
         monkeypatch.setattr(GaussTerm, "__post_init__", counting)
         out = protocols._amplify_state(cur)
         assert built == []
-        terms = out.terms
-        assert out.terms is terms
-        assert len(terms) == 33
+        first, second = term_bytes(out), term_bytes(out)
+        assert first == second and len(first) == 33
 
     def test_states_cannot_be_reassigned(self):
         u = hermite_gauss(1)
@@ -786,26 +795,3 @@ class TestTermView:
         assert exact_bytes(back) == exact_bytes(u)
         with pytest.raises(ValueError):
             back.terms[0].quad[0, 0] = 1.0
-
-    def test_racing_first_reads_build_equal_terms(self):
-        cat = states.make_ideal_squeezed_cat(1.2, 0.4029, "even", "1")
-        pair = multiply(cat, relabel(cat, {"1": "2"}))
-        switch = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(20):
-                u = beam_splitter(pair, "1", "2")
-                seen = []
-                workers = [threading.Thread(target=lambda: seen.append(u.terms))
-                           for _ in range(8)]
-                for w in workers:
-                    w.start()
-                for w in workers:
-                    w.join(timeout=30)
-                assert not any(w.is_alive() for w in workers)
-                assert len(seen) == 8
-                assert all(exact_bytes(GaussPolyState(u.modes, terms)) == exact_bytes(u)
-                           for terms in seen)
-                assert u.terms is u.terms
-        finally:
-            sys.setswitchinterval(switch)

@@ -29,3 +29,13 @@ def test_make_figure_data(child_env, tmp_path):
     expected = {"map_ideal.csv": 33 * 65, "map_ladder.csv": 33 * 65,
                 "amplification_sweep.csv": 51, "truncation.csv": 51}
     assert {name: data_rows(tmp_path / name) for name in expected} == expected
+
+
+def test_output_digest(child_env):
+    proc = run_script("output_digest.py", env=child_env)
+    assert proc.returncode == 0, proc.stderr
+    lines = [line.split() for line in proc.stdout.splitlines()]
+    assert [(family, count) for family, count, _ in lines] == [
+        ("teleport", "192"), ("ideal_chain", "190"), ("ladder_chain", "14"),
+        ("operations", "174")]
+    assert all(len(sha) == 64 for _, _, sha in lines)
