@@ -239,6 +239,8 @@ def fidelity_map(resource, parity, n, alpha, r, beta, grid, fmt, use_oracle, out
 @_guard
 def avg_fidelity(resource, parity, n, alpha, r, grid, tol, fmt, out):
     """Signal-sphere average of the teleport fidelity, both parametrizations."""
+    if not tol > 0.0:
+        raise click.UsageError(f"--tol must be positive, got {tol}")
     nt, nph = _parse_grid(grid)
 
     res = _resource_from_flags(resource, n, parity)

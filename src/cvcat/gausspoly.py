@@ -22,13 +22,15 @@ Conventions (used consistently by the rest of the package):
   (2*pi)**-0.5 * integral exp(+i*beta*x) psi(x) dx, which sends the squeezed
   vacuum at beta = 0 to (g/pi)**0.25.
 
-A state stores its terms stacked, as one form row per term (the entries of
-Q, then of L), one offset and one coefficient dict per term.  Every
-operation does its form arithmetic on these arrays and ends in one merge
-step, which merges equal forms and symmetrises Q; every product, pointwise
-or tensor, is one ``_raw_multiply`` over a common mode order.  Only
+A state stores its terms stacked: the Q matrices as one (T, m, m) array, the
+L vectors as one (T, m) array, one offset and one coefficient dict per term.
+Every operation does its form arithmetic on these arrays and ends in one
+merge step, which merges equal forms and symmetrises Q; every product,
+pointwise or tensor, is one ``_raw_multiply`` over a common mode order.  Only
 ``superpose``, which makes states from parts, builds ``GaussTerm``s, like the
 state constructors; ``GaussPolyState.terms`` returns fresh read-only copies.
+``gaussian_moment_integral`` is the engine's own integrator applied to a
+one-term state, so checking it checks the contraction every operation uses.
 
 No state is written after it is built and all operations are pure
 functions, so states can be shared freely across threads.
@@ -39,6 +41,7 @@ from __future__ import annotations
 import cmath
 import math
 from bisect import bisect_left, bisect_right
+from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from operator import add, mul
@@ -72,20 +75,15 @@ _SQRT2 = math.sqrt(2.0)
 _FIRST_MOMENT_SCALE: ContextVar[float] = ContextVar("first_moment_scale", default=1.0)
 
 
-class perturb_first_moment:
-    """Context manager that deliberately mis-scales first moments by (1+eps)
-    in the current context only; other threads keep the exact engine."""
-
-    def __init__(self, eps: float):
-        self.eps = eps
-
-    def __enter__(self):
-        self._token = _FIRST_MOMENT_SCALE.set(1.0 + self.eps)
-        return self
-
-    def __exit__(self, *exc):
-        _FIRST_MOMENT_SCALE.reset(self._token)
-        return False
+@contextmanager
+def perturb_first_moment(eps: float):
+    """Deliberately mis-scale first moments by (1+eps) in the current context
+    only; other threads keep the exact engine.  eps = 0 leaves it exact."""
+    token = _FIRST_MOMENT_SCALE.set(1.0 + eps)
+    try:
+        yield
+    finally:
+        _FIRST_MOMENT_SCALE.reset(token)
 
 
 # ---------------------------------------------------------------------------
@@ -154,29 +152,29 @@ class GaussPolyState:
     """Wavefunction represented as a sum of Gaussian-polynomial terms.
 
     ``modes`` labels the variables; all terms share the same mode set.  The
-    terms are stored stacked: one form row per term (the m*m entries of Q,
-    then the m entries of L, in a read-only complex array), one offset per
-    term and one coefficient dict per term.  Nothing writes to a state after
-    it is built; ``terms`` returns the same content as fresh read-only
+    terms are stored stacked in read-only complex arrays: Q as one (T, m, m)
+    array, L as one (T, m) array and the offsets as one (T,) array, next to
+    one coefficient dict per term.  Nothing writes to a state after it is
+    built; ``terms`` returns the same content as fresh read-only
     ``GaussTerm`` copies on every read.
     """
 
-    __slots__ = ("modes", "_forms", "_offsets", "_polys")
+    __slots__ = ("modes", "_quads", "_lins", "_offsets", "_polys")
 
     def __init__(self, modes: Sequence[str], terms: Iterable[GaussTerm] = ()):
         self._set(modes, *_stack(list(terms), len(modes)))
 
-    def _set(self, modes, forms, offsets, polys) -> None:
+    def _set(self, modes, quads, lins, offsets, polys) -> None:
         modes = tuple(modes)
         m = len(modes)
         if m not in (1, 2, 3):
             raise UsageError(f"states support 1..3 modes, got {m}")
         if len(set(modes)) != m:
             raise UsageError(f"duplicate mode labels in {modes}")
-        forms.setflags(write=False)
-        offsets.setflags(write=False)
-        for name, value in (("modes", modes), ("_forms", forms), ("_offsets", offsets),
-                            ("_polys", tuple(polys))):
+        for arr in (quads, lins, offsets):
+            arr.setflags(write=False)
+        for name, value in (("modes", modes), ("_quads", quads), ("_lins", lins),
+                            ("_offsets", offsets), ("_polys", tuple(polys))):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -186,16 +184,17 @@ class GaussPolyState:
         return f"GaussPolyState(modes={self.modes!r}, terms={self.terms!r})"
 
     def __reduce__(self):
-        return GaussPolyState._from_parts, (self.modes, self._forms, self._offsets, self._polys)
+        return GaussPolyState._from_parts, (self.modes, self._quads, self._lins,
+                                            self._offsets, self._polys)
 
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def _from_parts(cls, modes: Sequence[str], forms: np.ndarray, offsets: np.ndarray,
-                    polys: Sequence[Poly]) -> "GaussPolyState":
+    def _from_parts(cls, modes: Sequence[str], quads: np.ndarray, lins: np.ndarray,
+                    offsets: np.ndarray, polys: Sequence[Poly]) -> "GaussPolyState":
         """State holding the given stacked parts as they are."""
         state = object.__new__(cls)
-        state._set(modes, forms, offsets, polys)
+        state._set(modes, quads, lins, offsets, polys)
         return state
 
     @classmethod
@@ -287,19 +286,12 @@ class GaussianMomentSpec:
 def gaussian_moment_integral(spec: GaussianMomentSpec) -> complex:
     """Closed form of integral x**k exp(-a x**2 + 2 b x) dx over the real line.
 
-    Equals sqrt(pi/a) * exp(b**2/a) * E[x**k] for x ~ Normal(b/a, 1/(2a)),
-    and obeys I_k = (2 b I_{k-1} + (k-1) I_{k-2}) / (2 a).
+    Equals sqrt(pi/a) * exp(b**2/a) * E[x**k] for x ~ Normal(b/a, 1/(2a)).  It
+    is ``_integrate_index`` applied to the one-term state
+    x**k exp(-a x**2 + 2 b x), the contraction every inner product runs.
     """
-    a, b, k = complex(spec.a), complex(spec.b), spec.order
-    if a.real <= 0.0:
-        raise DomainError("non-integrable exponent: Re(a) must be positive")
-    i0 = cmath.sqrt(cmath.pi / a) * cmath.exp(b * b / a)
-    if k == 0:
-        return i0
-    prev, cur = i0, (b / a) * i0 * _FIRST_MOMENT_SCALE.get()
-    for n in range(2, k + 1):
-        prev, cur = cur, (2.0 * b * cur + (n - 1) * prev) / (2.0 * a)
-    return cur
+    term = GaussTerm({(spec.order,): 1.0 + 0j}, [[2.0 * spec.a]], [2.0 * spec.b])
+    return _integrate_index(GaussPolyState(("x",), (term,)), 0)
 
 
 def _moment_polys(a: complex, b_poly: Poly, kmax: int, zero_key: Monomial) -> list[Poly]:
@@ -322,37 +314,26 @@ def _moment_polys(a: complex, b_poly: Poly, kmax: int, zero_key: Monomial) -> li
 # internal plumbing
 # ---------------------------------------------------------------------------
 
-def _stack(terms: Sequence[GaussTerm], m: int) -> tuple[np.ndarray, np.ndarray, list[Poly]]:
-    """Stacked parts of terms on m modes: one form row per term (the entries
-    of Q, then those of L), the offsets and a copy of each coefficient dict."""
+def _stack(terms: Sequence[GaussTerm], m: int):
+    """Stacked parts of terms on m modes: the Q matrices (T, m, m), the L
+    vectors (T, m), the offsets (T,) and a copy of each coefficient dict."""
     if any(t.n_modes != m for t in terms):
         raise UsageError("term arity does not match the mode list")
-    rows = [t.quad.ravel().tolist() + t.lin.tolist() for t in terms]
-    return (np.array(rows, dtype=complex).reshape(len(terms), m * m + m),
+    return (np.array([t.quad for t in terms], dtype=complex).reshape(len(terms), m, m),
+            np.array([t.lin for t in terms], dtype=complex).reshape(len(terms), m),
             np.array([t.offset for t in terms], dtype=complex),
             [dict(t.poly) for t in terms])
 
 
-def _split(forms: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Views of the stacked Q matrices, shape (T, m, m), and L vectors, (T, m)."""
-    return forms[:, :m * m].reshape(len(forms), m, m), forms[:, m * m:]
-
-
 def _rows(u: GaussPolyState):
     """(coefficients, Q, L, offset) of each term of ``u``, from its stacked parts."""
-    quads, lins = _split(u._forms, u.n_modes)
-    return zip(u._polys, quads, lins, u._offsets.tolist())
-
-
-def _join(quads: np.ndarray, lins: np.ndarray) -> np.ndarray:
-    """Form rows from stacked Q matrices and L vectors."""
-    m = lins.shape[1]
-    return np.concatenate([quads.reshape(len(quads), m * m), lins], axis=1)
+    return zip(u._polys, u._quads, u._lins, u._offsets.tolist())
 
 
 def _conj_state(u: GaussPolyState) -> GaussPolyState:
     polys = [{e: c.conjugate() for e, c in p.items()} for p in u._polys]
-    return GaussPolyState._from_parts(u.modes, u._forms.conj(), u._offsets.conj(), polys)
+    return GaussPolyState._from_parts(u.modes, u._quads.conj(), u._lins.conj(),
+                                      u._offsets.conj(), polys)
 
 
 def _aligned(v: GaussPolyState, modes: tuple[str, ...]) -> GaussPolyState:
@@ -361,15 +342,17 @@ def _aligned(v: GaussPolyState, modes: tuple[str, ...]) -> GaussPolyState:
     zero in L and exponent 0."""
     if v.modes == modes:
         return v
-    m = len(modes)
+    t, m = len(v._polys), len(modes)
     pos = [modes.index(x) for x in v.modes]
-    cols = [i * m + j for i in pos for j in pos] + [m * m + i for i in pos]
-    forms = np.zeros((len(v._forms), m * m + m), dtype=complex)
-    forms[:, cols] = v._forms
+    quads = np.zeros((t, m, m), dtype=complex)
+    rows, cols = np.ix_(pos, pos)
+    quads[:, rows, cols] = v._quads
+    lins = np.zeros((t, m), dtype=complex)
+    lins[:, pos] = v._lins
     take = [v.modes.index(x) if x in v.modes else -1 for x in modes]
     polys = [{tuple(e[i] if i >= 0 else 0 for i in take): c for e, c in poly.items()}
              for poly in v._polys]
-    return GaussPolyState._from_parts(modes, forms, v._offsets, polys)
+    return GaussPolyState._from_parts(modes, quads, lins, v._offsets, polys)
 
 
 def _group_forms(forms: Sequence[Sequence[complex]]) -> list[list[int]]:
@@ -413,12 +396,12 @@ def _group_forms(forms: Sequence[Sequence[complex]]) -> list[list[int]]:
     return groups
 
 
-def _merge_terms(modes: Sequence[str], forms: np.ndarray, offsets: np.ndarray,
-                 polys: Sequence[Poly]) -> GaussPolyState | complex:
-    """Finish an operation: one term per group of equal form rows (Q's
-    entries, then L's), members summed relative to the group's largest real
-    offset, exact-zero coefficients and all-zero terms dropped (every other
-    coefficient is kept), and each kept form's Q replaced by
+def _merge_terms(modes: Sequence[str], quads: np.ndarray, lins: np.ndarray,
+                 offsets: np.ndarray, polys: Sequence[Poly]) -> GaussPolyState | complex:
+    """Finish an operation: one term per group of equal forms (compared as
+    rows of Q's entries, then L's), members summed relative to the group's
+    largest real offset, exact-zero coefficients and all-zero terms dropped
+    (every other coefficient is kept), and each kept form's Q replaced by
     (Q + Q^T) / 2, the only symmetrisation an operation does.  With no mode
     left, the amplitude sum_k c_k * exp(offset_k) instead."""
     offsets = offsets.tolist()
@@ -427,8 +410,9 @@ def _merge_terms(modes: Sequence[str], forms: np.ndarray, offsets: np.ndarray,
         for poly, off in zip(polys, offsets):
             total += poly.get((), 0j) * cmath.exp(off)
         return total
+    rows = np.concatenate([quads.reshape(len(quads), len(modes) ** 2), lins], axis=1)
     firsts, refs, merged = [], [], []
-    for group in _group_forms(forms.tolist()):
+    for group in _group_forms(rows.tolist()):
         ref = max(offsets[k].real for k in group)
         poly: Poly = {}
         for k in group:
@@ -438,9 +422,9 @@ def _merge_terms(modes: Sequence[str], forms: np.ndarray, offsets: np.ndarray,
             firsts.append(group[0])
             refs.append(ref)
             merged.append(poly)
-    quads, lins = _split(forms[firsts], len(modes))
-    return GaussPolyState._from_parts(modes, _join((quads + quads.transpose(0, 2, 1)) / 2.0, lins),
-                                      np.array(refs, dtype=complex), merged)
+    quads = quads[firsts]
+    return GaussPolyState._from_parts(modes, (quads + quads.transpose(0, 2, 1)) / 2.0,
+                                      lins[firsts], np.array(refs, dtype=complex), merged)
 
 
 def _raw_multiply(u: GaussPolyState, v: GaussPolyState) -> GaussPolyState:
@@ -449,11 +433,12 @@ def _raw_multiply(u: GaussPolyState, v: GaussPolyState) -> GaussPolyState:
     All N_u * N_v forms and offsets are summed as arrays and grouped, so the
     coefficient products are the only work done pair by pair.
     """
-    fu, fv = u._forms, v._forms
-    forms = (fu[:, None] + fv[None, :]).reshape(len(fu) * len(fv), fu.shape[1])
-    offsets = (u._offsets[:, None] + v._offsets[None, :]).ravel()
+    def pair_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return (a[:, None] + b[None, :]).reshape(-1, *a.shape[1:])
+
     polys = [_poly_mul(pu, pv) for pu in u._polys for pv in v._polys]
-    return _merge_terms(u.modes, forms, offsets, polys)
+    return _merge_terms(u.modes, pair_sums(u._quads, v._quads), pair_sums(u._lins, v._lins),
+                        pair_sums(u._offsets, v._offsets), polys)
 
 
 def _integrate_index(u: GaussPolyState, j: int):
@@ -471,7 +456,7 @@ def _integrate_index(u: GaussPolyState, j: int):
     units = [tuple(1 if t == i else 0 for t in range(len(others)))
              for i in range(len(others))]
 
-    quads, lins = _split(u._forms, m)
+    quads, lins = u._quads, u._lins
     a = quads[:, j, j] / 2.0
     if np.any(a.real <= 0.0):
         raise DomainError("non-integrable exponent while integrating a mode")
@@ -503,7 +488,7 @@ def _integrate_index(u: GaussPolyState, j: int):
     qn = quads[:, others][:, :, others] \
         - 2.0 * (bvec[:, :, None] * bvec[:, None, :]) / a[:, None, None]
     ln = lins[:, others] + (2.0 * b0)[:, None] * bvec / a[:, None]
-    return _merge_terms(new_modes, _join(qn, ln), np.array(offsets, dtype=complex), polys)
+    return _merge_terms(new_modes, qn, ln, np.array(offsets, dtype=complex), polys)
 
 
 def _mode_index(u: GaussPolyState, mode: str) -> int:
@@ -554,7 +539,7 @@ def _unit_scaled(u: GaussPolyState, n2: float) -> GaussPolyState:
     if n2 <= 0.0 or not math.isfinite(n2):
         raise DomainError("cannot normalise a zero or non-finite state")
     shift = -0.5 * math.log(n2)
-    return GaussPolyState._from_parts(u.modes, u._forms, u._offsets + shift, u._polys)
+    return GaussPolyState._from_parts(u.modes, u._quads, u._lins, u._offsets + shift, u._polys)
 
 
 def fidelity(u: GaussPolyState, v: GaussPolyState) -> float:
@@ -594,10 +579,10 @@ def beam_splitter(u: GaussPolyState, mode_i: str, mode_j: str) -> GaussPolyState
                     key = tuple(e2)
                     poly[key] = poly.get(key, 0j) + coef
         polys.append(poly)
-    quads, lins = _split(u._forms, m)
-    # one matrix product per term, as before; ``lins @ rot`` rounds differently
-    forms = _join(rot.T @ quads @ rot, (rot.T @ lins[:, :, None])[:, :, 0])
-    return _merge_terms(u.modes, forms, u._offsets, polys)
+    # L takes the same stacked matrix product as Q: rot.T @ L per term, which
+    # rounds differently from the row-vector form ``lins @ rot``
+    return _merge_terms(u.modes, rot.T @ u._quads @ rot, (rot.T @ u._lins[:, :, None])[:, :, 0],
+                        u._offsets, polys)
 
 
 def condition_x(u: GaussPolyState, mode: str, value: float):
@@ -620,10 +605,10 @@ def condition_x(u: GaussPolyState, mode: str, value: float):
             rest = tuple(e[i] for i in others)
             poly[rest] = poly.get(rest, 0j) + coef
         polys.append(poly)
-    quads, lins = _split(u._forms, m)
+    quads, lins = u._quads, u._lins
     offsets = u._offsets - 0.5 * quads[:, j, j] * value * value + lins[:, j] * value
-    forms = _join(quads[:, others][:, :, others], lins[:, others] - quads[:, others, j] * value)
-    return _merge_terms(new_modes, forms, offsets, polys)
+    return _merge_terms(new_modes, quads[:, others][:, :, others],
+                        lins[:, others] - quads[:, others, j] * value, offsets, polys)
 
 
 def project_p(u: GaussPolyState, mode: str, beta: float):
@@ -635,14 +620,14 @@ def project_p(u: GaussPolyState, mode: str, beta: float):
     yields (g/pi)**0.25.
     """
     j = _mode_index(u, mode)
-    m = u.n_modes
     scale = 1.0 / math.sqrt(2.0 * math.pi)
-    forms = u._forms.copy()
-    forms[:, m * m + j] += 1j * beta
-    res = _integrate_index(GaussPolyState._from_parts(u.modes, forms, u._offsets, u._polys), j)
+    lins = u._lins.copy()
+    lins[:, j] += 1j * beta
+    res = _integrate_index(GaussPolyState._from_parts(u.modes, u._quads, lins, u._offsets,
+                                                      u._polys), j)
     if isinstance(res, GaussPolyState):
         polys = [_poly_scale(p, scale) for p in res._polys]
-        return GaussPolyState._from_parts(res.modes, res._forms, res._offsets, polys)
+        return GaussPolyState._from_parts(res.modes, res._quads, res._lins, res._offsets, polys)
     return res * scale
 
 
@@ -668,7 +653,7 @@ def superpose(states: Sequence[GaussPolyState], coeffs: Sequence[complex]) -> Ga
 def relabel(u: GaussPolyState, mapping: Mapping[str, str]) -> GaussPolyState:
     """Rename modes; the wavefunction itself is untouched."""
     modes = tuple(mapping.get(m, m) for m in u.modes)
-    return GaussPolyState._from_parts(modes, u._forms, u._offsets, u._polys)
+    return GaussPolyState._from_parts(modes, u._quads, u._lins, u._offsets, u._polys)
 
 
 def hermite_gauss(n: int, mode: str = "x") -> GaussPolyState:

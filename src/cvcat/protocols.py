@@ -29,7 +29,6 @@ import numpy as np
 
 from .errors import CapacityError, DomainError, UsageError
 from .gausspoly import (
-    DEGREE_CAP,
     GaussPolyState,
     GaussTerm,
     _moment_polys,
@@ -88,10 +87,17 @@ class IdentityResource:
 
 @dataclass(frozen=True)
 class IdealCat:
-    """Amplification input: ideal squeezed even cat of amplitude alpha."""
+    """Amplification input: ideal squeezed even cat of amplitude alpha >= 0
+    (alpha = 0 is the squeezed vacuum)."""
 
     alpha: float
     r: float
+
+    def __post_init__(self):
+        if not 0.0 <= self.alpha < math.inf:
+            raise UsageError("cat amplitude alpha must be finite and >= 0")
+        if not math.isfinite(self.r):
+            raise UsageError("squeezing r must be finite")
 
 
 Resource = IdealResource | ApproxResource | IdentityResource
@@ -465,10 +471,6 @@ def average_fidelity_both(resource: Resource, alpha: float, r: float,
 def _amplify_state(u: GaussPolyState) -> GaussPolyState:
     """Mix two copies on a balanced beam splitter, post-select x = 0 in the
     second output arm, renormalise."""
-    if u.n_modes != 1:
-        raise UsageError("amplification expects a single-mode state")
-    if 2 * max(u.degrees()[0], 0) > DEGREE_CAP:
-        raise CapacityError("amplification would exceed the degree cap")
     pair = multiply(relabel(u, {u.modes[0]: "1"}), relabel(u, {u.modes[0]: "2"}))
     pair = beam_splitter(pair, "1", "2")
     out = condition_x(pair, "2", 0.0)

@@ -9,6 +9,7 @@ quadrature squeezed.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -41,6 +42,8 @@ class SignalParams:
     r: float = 0.0
 
     def __post_init__(self):
+        if not all(cmath.isfinite(complex(v)) for v in (self.a, self.b, self.alpha, self.r)):
+            raise UsageError("signal parameters (a, b, alpha, r) must be finite")
         if self.a == 0 and self.b == 0:
             raise UsageError("signal amplitudes (a, b) must not both vanish")
         if self.alpha <= 0.0:
@@ -156,8 +159,13 @@ class EffectiveParams:
         return -0.5 * math.log(self.g)
 
 
+#: Nelder-Mead ``fatol`` of ``fit_effective_params``: the fidelity change
+#: below which a search stops.
+FIT_TOL = 1e-8
+
+
 @lru_cache(maxsize=None)
-def fit_effective_params(n: int, tol: float = 1e-8) -> EffectiveParams:
+def fit_effective_params(n: int) -> EffectiveParams:
     """Maximise fidelity(make_approx(n), ideal squeezed cat) over (alpha, g).
 
     The comparison cat carries the parity of n (x^n exp(-x^2/2) is an even
@@ -187,7 +195,7 @@ def fit_effective_params(n: int, tol: float = 1e-8) -> EffectiveParams:
     converged = False
     for a0, g0 in starts:
         res = optimize.minimize(objective, np.log([a0, g0]), method="Nelder-Mead",
-                                options={"xatol": 1e-9, "fatol": tol, "maxiter": 600})
+                                options={"xatol": 1e-9, "fatol": FIT_TOL, "maxiter": 600})
         if best is None or res.fun < best.fun:
             best = res
             converged = bool(res.success)

@@ -430,7 +430,7 @@ def run_validation(seed: int = 20260808, trials: int = 30,
                    perturbation: float = 0.0) -> Report:
     if trials < 1:
         raise UsageError("the oracle corpus needs at least 1 trial")
-    def gather() -> Report:
+    with perturb_first_moment(perturbation):
         checks: list[Check] = []
         checks += _moment_checks()
         checks += _state_checks()
@@ -442,11 +442,5 @@ def run_validation(seed: int = 20260808, trials: int = 30,
         checks += _amplify_checks()
         checks += _oracle_corpus_checks(seed, trials)
         checks += _teleport_quadrature_check()
-        report = Report(all(c.passed for c in checks), seed, trials, perturbation,
-                        checks, _reference_notes())
-        return report
-
-    if perturbation:
-        with perturb_first_moment(perturbation):
-            return gather()
-    return gather()
+        return Report(all(c.passed for c in checks), seed, trials, perturbation,
+                      checks, _reference_notes())

@@ -211,8 +211,15 @@ class TestCliPlumbing:
         ["avg-fidelity", "--grid", "4x0"],
         ["validate", "--trials", "0"],
         ["validate", "--trials", "-1"],
+        ["avg-fidelity", "--tol", "0"],
+        ["avg-fidelity", "--tol", "-1"],
+        ["avg-fidelity", "--tol", "nan"],
+        ["fidelity-map", "--alpha", "nan", "--grid", "2x2"],
+        ["fidelity-map", "--r", "nan", "--grid", "2x2"],
+        ["amplify", "--alpha-range", "-1,-1,1", "--steps", "2"],
     ], ids=["truncation-count-0", "amplify-count-0", "avg-grid-0x4", "avg-grid--2x4",
-            "avg-grid-4x0", "validate-trials-0", "validate-trials--1"])
+            "avg-grid-4x0", "validate-trials-0", "validate-trials--1", "avg-tol-0",
+            "avg-tol--1", "avg-tol-nan", "map-alpha-nan", "map-r-nan", "amplify-alpha--1"])
     def test_vacuous_input_exit_two(self, runner, args):
         res = runner.invoke(main, args)
         assert res.exit_code == 2, res.output

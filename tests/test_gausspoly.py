@@ -84,6 +84,13 @@ class TestMoments:
         assert seen == [exact]
         assert gaussian_moment_integral(spec) == exact
 
+    def test_zero_perturbation_is_exact(self):
+        spec = GaussianMomentSpec(1.3 - 0.4j, 0.2 + 0.7j, 5)
+        u, v = hermite_gauss(3), states.make_squeezed_coherent(0.7, 0.3)
+        exact = (gaussian_moment_integral(spec), inner_product(u, v))
+        with perturb_first_moment(0.0):
+            assert (gaussian_moment_integral(spec), inner_product(u, v)) == exact
+
     @given(
         a_re=st.floats(0.2, 3.0), a_im=st.floats(-1.0, 1.0),
         b_re=st.floats(-1.5, 1.5), b_im=st.floats(-1.5, 1.5),

@@ -331,6 +331,12 @@ class TestAmplify:
         with pytest.raises(UsageError):
             protocols.amplify_iterate(protocols.IdealCat(1.0, R), 0)
 
+    @pytest.mark.parametrize("alpha, r", [(-1.0, R), (-1e-300, R), (math.nan, R),
+                                          (math.inf, R), (1.0, math.nan), (1.0, math.inf)])
+    def test_input_rejects_negative_or_non_finite(self, alpha, r):
+        with pytest.raises(UsageError):
+            protocols.IdealCat(alpha, r)
+
 
 class TestSweepCurve:
     def test_single_step_curve_shape(self):

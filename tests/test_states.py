@@ -29,6 +29,13 @@ class TestSignalParams:
         with pytest.raises(UsageError):
             states.SignalParams(1, 1, 0.0)
 
+    @pytest.mark.parametrize("field", ["a", "b", "alpha", "r"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, field, bad):
+        params = {"a": 0.6, "b": 0.8, "alpha": 1.1, "r": 0.2, field: bad}
+        with pytest.raises(UsageError):
+            states.SignalParams(**params)
+
     def test_rejects_degenerate_combination(self):
         # a = -b at alpha -> 0 annihilates the state
         with pytest.raises(UsageError):
