@@ -11,6 +11,8 @@ meant to leave every output bitwise as it was prints the same lines before
 and after.  The families:
 
 * ``teleport``: ladder resources n = 1..32, three signals, beta auto and 0.7;
+* ``ideal_teleport``: even and odd ideal resources at alpha = 0.5, sqrt(1.3)
+  and 1.5, the same signals and beta values;
 * ``ideal_chain``: five-step ideal-cat amplify chains over the 16-alpha grid
   of ``perfbench``'s ``amplify_chain`` plus alpha = 0, 1.0 and 1.0 + 1e-12,
   at r = 0.4 and 0.4029;
@@ -76,22 +78,30 @@ def guarded(fn, *args) -> bytes:
         return type(exc).__name__.encode()
 
 
-def teleports() -> Digest:
+def teleports(cases) -> Digest:
     d = Digest()
     signals = [(1.0, 0.0), (0.0, 1.0), (0.6, 0.8j * complex(math.cos(1.1), math.sin(1.1)))]
-    for n in range(1, 33):
-        alpha = math.sqrt(n / 2.0)
+    for alpha, resource in cases:
         for a, b in signals:
             sig = states.SignalParams(a, b, alpha, R_BENCH)
             for beta in (None, 0.7):
                 try:
-                    o = protocols.teleport(sig, protocols.ApproxResource(n), beta)
+                    o = protocols.teleport(sig, resource, beta)
                 except EngineError as exc:
                     d.add(type(exc).__name__.encode())
                     continue
                 d.add(state_bytes(o.output), f2b(o.herald_weight),
                       f2b(o.fidelity_vs_signal), bytes([o.accepted]))
     return d
+
+
+def ladder_teleports() -> Digest:
+    return teleports((math.sqrt(n / 2.0), protocols.ApproxResource(n)) for n in range(1, 33))
+
+
+def ideal_teleports() -> Digest:
+    return teleports((alpha, protocols.IdealResource(parity))
+                     for parity in ("even", "odd") for alpha in (0.5, math.sqrt(1.3), 1.5))
 
 
 def chains(sources, steps) -> Digest:
@@ -148,8 +158,9 @@ def operations() -> Digest:
 
 
 def main() -> None:
-    for family, make in (("teleport", teleports), ("ideal_chain", ideal_chains),
-                         ("ladder_chain", ladder_chains), ("operations", operations)):
+    for family, make in (("teleport", ladder_teleports), ("ideal_teleport", ideal_teleports),
+                         ("ideal_chain", ideal_chains), ("ladder_chain", ladder_chains),
+                         ("operations", operations)):
         print(make().line(family), flush=True)
 
 

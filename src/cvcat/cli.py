@@ -63,6 +63,8 @@ def _parse_range(text: str) -> np.ndarray:
         raise click.UsageError(f"range {text!r} must be start,stop,count") from exc
     if not len(values):
         raise click.UsageError(f"range {text!r} needs a count of at least 1")
+    if not np.all(np.isfinite(values)):
+        raise click.UsageError(f"range {text!r} must be finite")
     return values
 
 
@@ -142,7 +144,7 @@ def main():
 def truncation(alpha_range, r, fmt, use_oracle, out):
     """Fidelity of two-level truncations of the even cat, against amplitude."""
     alphas = _parse_range(alpha_range)
-    g = math.exp(-2.0 * r)
+    g = states.squeezing_g(r, UsageError)
     if use_oracle:
         grid = oracle.GridSpec()
         levels = [oracle.sample(hermite_gauss(k), grid) for k in (0, 2)]
@@ -158,9 +160,7 @@ def truncation(alpha_range, r, fmt, use_oracle, out):
             "F_squeezed_alt": fock.squeezed_trunc02_closed_form_alt(alpha, g),
         }
         if use_oracle:
-            cat = states.make_ideal_squeezed_cat(alpha, r, "even") if alpha > 0 \
-                else states.make_squeezed_vacuum(g)
-            cat_vals = oracle.sample(cat, grid)
+            cat_vals = oracle.sample(states.make_ideal_squeezed_cat(alpha, r, "even"), grid)
             row["F_squeezed_oracle"] = sum(oracle.quad_fidelity(h, cat_vals, grid)
                                            for h in levels)
         rows.append(row)
@@ -300,8 +300,7 @@ def amplify(kind, alpha_range, r, n, steps, fmt, use_oracle, out):
             mid = float(alphas[len(alphas) // 2])
             outcome = protocols.amplify(protocols.IdealCat(mid, r))
             grid = oracle.GridSpec()
-            target = states.make_ideal_squeezed_cat(math.sqrt(2) * mid, r, "even", "1") \
-                if mid > 0 else states.make_squeezed_vacuum(math.exp(-2 * r), "1")
+            target = states.make_ideal_squeezed_cat(math.sqrt(2) * mid, r, "even", "1")
             direct = oracle.quad_fidelity(oracle.sample(target, grid),
                                           oracle.sample(outcome.output, grid), grid)
             extra["oracle_spot_check"] = {

@@ -275,6 +275,8 @@ class GaussianMomentSpec:
     def __post_init__(self):
         if self.order < 0:
             raise UsageError("moment order must be >= 0")
+        if not (cmath.isfinite(complex(self.a)) and cmath.isfinite(complex(self.b))):
+            raise DomainError("moment parameters a and b must be finite")
         if complex(self.a).real <= 0.0:
             raise DomainError("non-integrable exponent: Re(a) must be positive")
 
@@ -520,12 +522,18 @@ def multiply(u: GaussPolyState, v: GaussPolyState) -> GaussPolyState:
 
 
 def inner_product(u: GaussPolyState, v: GaussPolyState) -> complex:
-    """Exact overlap integral conj(u) * v over all variables."""
+    """Exact overlap integral conj(u) * v over all variables; raises
+    DomainError when the contraction overflows to a non-finite value."""
     if set(u.modes) != set(v.modes):
         raise UsageError("inner product needs identical mode sets")
     w = _raw_multiply(_conj_state(u), _aligned(v, u.modes))
-    for _ in range(w.n_modes):
-        w = _integrate_index(w, 0)
+    try:
+        for _ in range(w.n_modes):
+            w = _integrate_index(w, 0)
+    except OverflowError:  # cmath.exp of a summed offset beyond the float range
+        w = cmath.inf
+    if not cmath.isfinite(w):
+        raise DomainError("inner product is not finite: the contraction overflowed")
     return w
 
 

@@ -51,11 +51,11 @@ from .states import (
     SignalParams,
     fit_effective_params,
     make_approx,
-    make_entangled_resource,
     make_ideal_squeezed_cat,
     make_signal,
     make_squeezed_coherent,
     make_squeezed_vacuum,
+    squeezing_g,
 )
 
 HERALD_FLOOR = 1e-28
@@ -70,6 +70,10 @@ class IdealResource:
     """Two-mode entangled resource built from ideal squeezed cats."""
 
     parity: Parity = "even"
+
+    def __post_init__(self):
+        if self.parity not in ("even", "odd"):
+            raise UsageError("parity must be 'even' or 'odd'")
 
 
 @dataclass(frozen=True)
@@ -96,8 +100,7 @@ class IdealCat:
     def __post_init__(self):
         if not 0.0 <= self.alpha < math.inf:
             raise UsageError("cat amplitude alpha must be finite and >= 0")
-        if not math.isfinite(self.r):
-            raise UsageError("squeezing r must be finite")
+        squeezing_g(self.r, UsageError)
 
 
 Resource = IdealResource | ApproxResource | IdentityResource
@@ -132,9 +135,15 @@ def default_beta(signal: SignalParams, resource: Resource) -> float:
 
 
 def resource_state(resource: Resource, signal: SignalParams) -> GaussPolyState:
-    """Two-mode resource on modes ('1', '2') matched to the signal basis."""
+    """Two-mode resource on modes ('1', '2') matched to the signal basis: the
+    ideal S|alpha>S|alpha> +/- S|-alpha>S|-alpha>, or the ladder state mixed
+    with the squeezed vacuum on a balanced beam splitter."""
     if isinstance(resource, IdealResource):
-        return make_entangled_resource(signal.alpha, signal.r, resource.parity)
+        pairs = [multiply(make_squeezed_coherent(s * signal.alpha, signal.r, "1"),
+                          make_squeezed_coherent(s * signal.alpha, signal.r, "2"))
+                 for s in (1.0, -1.0)]
+        sign = 1.0 if resource.parity == "even" else -1.0
+        return superpose(pairs, [1.0, sign]).normalized()
     if isinstance(resource, ApproxResource):
         if not 0 <= resource.n <= MAX_EXCITATION:
             raise UsageError(f"resource excitation must lie in 0..{MAX_EXCITATION}")
@@ -509,8 +518,7 @@ def amplify_iterate(source: IdealCat | ApproxResource, steps: int) -> list[Ampli
     if steps < 1:
         raise UsageError("steps must be >= 1")
     if isinstance(source, IdealCat):
-        cur = make_ideal_squeezed_cat(source.alpha, source.r, "even", "1") \
-            if source.alpha > 0.0 else make_squeezed_vacuum(math.exp(-2.0 * source.r), "1")
+        cur = make_ideal_squeezed_cat(source.alpha, source.r, "even", "1")
         size, growth = source.alpha, math.sqrt(2.0)
     elif isinstance(source, ApproxResource):
         cur = make_approx(source.n, "1")

@@ -17,7 +17,7 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import DomainError, UsageError
+from .errors import DomainError, EngineError, UsageError
 from .gausspoly import (
     GaussPolyState,
     GaussTerm,
@@ -48,6 +48,7 @@ class SignalParams:
             raise UsageError("signal amplitudes (a, b) must not both vanish")
         if self.alpha <= 0.0:
             raise UsageError("signal alpha must be positive")
+        squeezing_g(self.r, UsageError)
         if self.norm_constant_squared() <= 1e-300:
             raise UsageError("degenerate signal: normalisation diverges")
 
@@ -61,14 +62,28 @@ class SignalParams:
         return (abs(a) ** 2 + abs(b) ** 2
                 + 2.0 * math.exp(-2.0 * self.alpha ** 2) * (a * b.conjugate()).real)
 
-    def swapped(self) -> "SignalParams":
-        """The companion state with the roles of the two basis branches exchanged."""
-        return SignalParams(self.b, self.a, self.alpha, self.r)
+
+def _checked_g(g: float, error: type[EngineError]) -> float:
+    """``g``, or ``error`` unless g and 1/g are both finite and positive."""
+    if not (0.0 < g < math.inf and 1.0 / g < math.inf):
+        raise error(f"squeezing g = exp(-2r) = {g!r} is out of range: "
+                    "g and 1/g must be finite and positive")
+    return g
+
+
+def squeezing_g(r: float, error: type[EngineError] = DomainError) -> float:
+    """g = exp(-2r) of squeezing r; raises ``error`` when r is not finite or
+    g or 1/g leaves the float range (|r| above about 354)."""
+    try:
+        g = math.exp(-2.0 * r)
+    except OverflowError:
+        g = math.inf
+    return _checked_g(g, error)
 
 
 def make_squeezed_coherent(alpha: float, r: float = 0.0, mode: str = "x") -> GaussPolyState:
     """S(r)|alpha>: Gaussian of x-variance g/2 centred at alpha*sqrt(2g)."""
-    g = math.exp(-2.0 * r)
+    g = squeezing_g(r)
     mu = alpha * math.sqrt(2.0 * g)
     term = GaussTerm({(0,): (math.pi * g) ** -0.25},
                      np.array([[1.0 / g]], dtype=complex),
@@ -79,8 +94,7 @@ def make_squeezed_coherent(alpha: float, r: float = 0.0, mode: str = "x") -> Gau
 
 def make_squeezed_vacuum(g: float, mode: str = "x") -> GaussPolyState:
     """Squeezed vacuum (pi g)^-1/4 exp(-x^2 / 2g)."""
-    if g <= 0.0:
-        raise DomainError("squeezing parameter g must be positive")
+    _checked_g(g, DomainError)
     term = GaussTerm({(0,): (math.pi * g) ** -0.25},
                      np.array([[1.0 / g]], dtype=complex),
                      np.zeros(1, dtype=complex), 0j)
@@ -114,35 +128,18 @@ def make_approx(n: int, mode: str = "x") -> GaussPolyState:
 
 def make_ideal_squeezed_cat(alpha: float, r: float, parity: Parity = "even",
                             mode: str = "x") -> GaussPolyState:
-    """Normalised S(r)(|alpha> +/- |-alpha>)."""
+    """Normalised S(r)(|alpha> +/- |-alpha>); the even cat at alpha = 0 is the
+    squeezed vacuum."""
     if parity not in ("even", "odd"):
         raise UsageError("parity must be 'even' or 'odd'")
-    if parity == "odd" and alpha == 0.0:
-        raise DomainError("the odd superposition is undefined at alpha = 0")
+    if alpha == 0.0:
+        if parity == "odd":
+            raise DomainError("the odd superposition is undefined at alpha = 0")
+        return make_squeezed_vacuum(squeezing_g(r), mode)
     sign = 1.0 if parity == "even" else -1.0
     plus = make_squeezed_coherent(alpha, r, mode)
     minus = make_squeezed_coherent(-alpha, r, mode)
     return superpose([plus, minus], [1.0, sign]).normalized()
-
-
-def make_entangled_resource(alpha: float, r: float, parity: Parity = "even",
-                            modes: tuple[str, str] = ("1", "2")) -> GaussPolyState:
-    """Two-mode resource S(r)S(r)(|alpha, alpha> +/- |-alpha, -alpha>),
-    normalised from the exact overlap <alpha,alpha|-alpha,-alpha> = e^{-4 alpha^2}."""
-    if parity not in ("even", "odd"):
-        raise UsageError("parity must be 'even' or 'odd'")
-    if parity == "odd" and alpha == 0.0:
-        raise DomainError("the odd resource is undefined at alpha = 0")
-    sign = 1.0 if parity == "even" else -1.0
-    g = math.exp(-2.0 * r)
-    mu = alpha * math.sqrt(2.0 * g)
-    terms = []
-    for s in (1.0, -1.0):
-        terms.append(GaussTerm({(0, 0): (math.pi * g) ** -0.5 * (1.0 if s > 0 else sign)},
-                               np.array([[1.0 / g, 0.0], [0.0, 1.0 / g]], dtype=complex),
-                               np.array([s * mu / g, s * mu / g], dtype=complex),
-                               -2.0 * alpha * alpha))
-    return GaussPolyState(tuple(modes), tuple(terms)).normalized()
 
 
 @dataclass(frozen=True)

@@ -111,7 +111,8 @@ def _state_checks() -> list[Check]:
         "ladder": states.make_approx(2),
         "even-cat": states.make_ideal_squeezed_cat(1.5, 0.4, "even"),
         "odd-cat": states.make_ideal_squeezed_cat(1.5, 0.4, "odd"),
-        "resource": states.make_entangled_resource(1.0, BENCHMARK_R),
+        "resource": protocols.resource_state(
+            protocols.IdealResource(), states.SignalParams(1.0, 0.0, 1.0, BENCHMARK_R)),
     }
     worst = max(abs(norm_squared(s) - 1.0) for s in constructors.values())
     out.append(_check("constructor-norms", worst, 1e-10))
@@ -357,8 +358,9 @@ def _reference_notes() -> list[dict]:
 
     # displacement sign of the b-branch after the signal beam splitter
     alpha_s = SIGNAL_ALPHA
-    sig = states.make_signal(states.SignalParams(0.0, 1.0, alpha_s, r), "s")
-    res = states.make_entangled_resource(alpha_s, r)
+    p = states.SignalParams(0.0, 1.0, alpha_s, r)
+    sig = states.make_signal(p, "s")
+    res = protocols.resource_state(protocols.IdealResource(), p)
     post = beam_splitter(multiply(sig, res), "s", "1")
     mu = alpha_s * math.sqrt(2.0 * g)
 

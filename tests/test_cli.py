@@ -217,13 +217,33 @@ class TestCliPlumbing:
         ["fidelity-map", "--alpha", "nan", "--grid", "2x2"],
         ["fidelity-map", "--r", "nan", "--grid", "2x2"],
         ["amplify", "--alpha-range", "-1,-1,1", "--steps", "2"],
+        ["truncation", "--r", "inf"],
+        ["truncation", "--r", "400"],
+        ["truncation", "--r", "-400"],
+        ["truncation", "--r", "nan"],
+        ["truncation", "--alpha-range", "nan,nan,1"],
+        ["fidelity-map", "--r", "400", "--grid", "2x2"],
+        ["fidelity-map", "--r", "-400", "--grid", "2x2"],
+        ["amplify", "--r", "400", "--alpha-range", "1,1,1"],
+        ["amplify", "--r", "-400", "--alpha-range", "1,1,1"],
+        ["avg-fidelity", "--r", "400"],
+        ["avg-fidelity", "--r", "-400"],
     ], ids=["truncation-count-0", "amplify-count-0", "avg-grid-0x4", "avg-grid--2x4",
             "avg-grid-4x0", "validate-trials-0", "validate-trials--1", "avg-tol-0",
-            "avg-tol--1", "avg-tol-nan", "map-alpha-nan", "map-r-nan", "amplify-alpha--1"])
+            "avg-tol--1", "avg-tol-nan", "map-alpha-nan", "map-r-nan", "amplify-alpha--1",
+            "truncation-r-inf", "truncation-r-400", "truncation-r--400", "truncation-r-nan",
+            "truncation-alpha-nan", "map-r-400", "map-r--400", "amplify-r-400",
+            "amplify-r--400", "avg-r-400", "avg-r--400"])
     def test_vacuous_input_exit_two(self, runner, args):
         res = runner.invoke(main, args)
         assert res.exit_code == 2, res.output
         assert isinstance(res.exception, SystemExit)
+
+    def test_overflowing_contraction_exit_three(self, runner):
+        # g = exp(-400) is a valid float, but the channel's overlaps overflow
+        res = runner.invoke(main, ["fidelity-map", "--r", "200", "--grid", "2x2"])
+        assert res.exit_code == 3, res.output
+        assert "not finite" in res.output
 
     @pytest.mark.parametrize("command, text", [
         ("truncation", "format = xml\n"),

@@ -70,6 +70,12 @@ class TestMoments:
         with pytest.raises(UsageError):
             GaussianMomentSpec(1.0, 0.0, -1)
 
+    @pytest.mark.parametrize("a, b", [(math.nan, 0.0), (1.0, math.inf), (math.inf, 0.0),
+                                      (1.0, complex(0.0, math.nan))])
+    def test_rejects_non_finite(self, a, b):
+        with pytest.raises(DomainError):
+            GaussianMomentSpec(a, b, 2)
+
     def test_perturbation_stays_in_its_thread(self):
         spec = GaussianMomentSpec(1.0, 0.5, 1)
         exact = gaussian_moment_integral(spec)
@@ -177,6 +183,19 @@ class TestInnerProduct:
         v_direct = multiply(states.make_approx(2, "1"), states.make_squeezed_coherent(0.3, 0.0, "2"))
         assert v_swapped.modes == ("2", "1")
         assert inner_product(u, v_swapped) == approx(inner_product(u, v_direct), rel=1e-12)
+
+    @pytest.mark.parametrize("coeff, offset", [(1e300, 300.0), (1.0, 800.0)],
+                             ids=["inf-amplitude", "offset-overflow"])
+    def test_non_finite_result_raises(self, coeff, offset):
+        u = GaussPolyState(("x",), (gaussian_term([1.0], [0.0], offset, {(0,): coeff}),))
+        with pytest.raises(DomainError):
+            inner_product(u, u)
+
+    def test_overflowing_contraction_raises(self):
+        # the n = 2 ladder channel at r = 200 overflows while integrating
+        # modes, which made every entry of its Gram matrices nan
+        with pytest.raises(DomainError):
+            protocols.teleport_channel(math.sqrt(1.3), 200.0, protocols.ApproxResource(2))
 
     @pytest.mark.parametrize("n", [19, 20])
     def test_high_degree_hermite_norm(self, n):

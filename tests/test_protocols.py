@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -48,6 +49,50 @@ class TestTeleportIdeal:
         out = protocols.teleport(signal(1, 1), res)
         assert out.accepted
         assert 0.0 <= out.fidelity_vs_signal <= 1 + 1e-10
+
+
+def ideal_teleport_closed_form(p, parity, beta):
+    """(fidelity, herald weight) of the ideal-resource teleport, derived
+    without the engine.  Every stage maps products of squeezed coherent
+    states to products of squeezed coherent states, so the signal branch
+    S|s alpha> leaves sum_t w_st S|t alpha>_2 on mode 2, with
+
+        w_st = N_R p_t pi^-1/2 exp(-(t - s)^2 alpha^2 / 2
+                                   + i beta (s + t) alpha sqrt(g) - g beta^2 / 2),
+
+    p_+ = 1, p_- = +/-1 for the even/odd resource and
+    N_R = (2 +/- 2 exp(-4 alpha^2))^-1/2.  Branch overlaps are 1 for equal
+    branches and exp(-2 alpha^2) for opposite ones."""
+    alpha, g = p.alpha, p.g
+    sign = 1.0 if parity == "even" else -1.0
+    n_r = (2.0 + 2.0 * sign * math.exp(-4.0 * alpha ** 2)) ** -0.5
+    branches = (1.0, -1.0)
+    w = np.array([[n_r * (1.0 if t > 0 else sign) / math.sqrt(math.pi)
+                   * cmath.exp(-(t - s) ** 2 * alpha ** 2 / 2.0
+                               + 1j * beta * (s + t) * alpha * math.sqrt(g) - g * beta ** 2 / 2.0)
+                   for t in branches] for s in branches])
+    k = math.exp(-2.0 * alpha ** 2)
+    gram = np.array([[1.0, k], [k, 1.0]])
+    d = np.array([p.a, p.b], dtype=complex)
+    d = d / math.sqrt((d.conj() @ gram @ d).real)
+    c = d @ w
+    weight = (c.conj() @ gram @ c).real
+    return abs(d.conj() @ gram @ c) ** 2 / weight, weight
+
+
+class TestTeleportIdealClosedForm:
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    @pytest.mark.parametrize("beta", [None, 0.37])
+    @pytest.mark.parametrize("a, b", [(1, 0), (0, 1), (1, 1), (0.8, 0.3j),
+                                      (0.3, -0.7 + 0.2j)])
+    def test_fidelity_and_weight_match(self, parity, beta, a, b):
+        p = signal(a, b)
+        res = protocols.IdealResource(parity)
+        out = protocols.teleport(p, res, beta)
+        used = protocols.default_beta(p, res) if beta is None else beta
+        fid, weight = ideal_teleport_closed_form(p, parity, used)
+        assert abs(out.fidelity_vs_signal - fid) <= 1e-13
+        assert abs(out.herald_weight - weight) <= 1e-13 * weight
 
 
 class TestTeleportApprox:
@@ -332,7 +377,8 @@ class TestAmplify:
             protocols.amplify_iterate(protocols.IdealCat(1.0, R), 0)
 
     @pytest.mark.parametrize("alpha, r", [(-1.0, R), (-1e-300, R), (math.nan, R),
-                                          (math.inf, R), (1.0, math.nan), (1.0, math.inf)])
+                                          (math.inf, R), (1.0, math.nan), (1.0, math.inf),
+                                          (1.0, 400.0), (1.0, -400.0)])
     def test_input_rejects_negative_or_non_finite(self, alpha, r):
         with pytest.raises(UsageError):
             protocols.IdealCat(alpha, r)

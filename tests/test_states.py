@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
-from cvcat import fock, states
+from cvcat import fock, protocols, states
 from cvcat.errors import DomainError, UsageError
 from cvcat.gausspoly import (
     beam_splitter,
@@ -41,6 +41,11 @@ class TestSignalParams:
         with pytest.raises(UsageError):
             states.SignalParams(1, -1, 1e-12)
 
+    @pytest.mark.parametrize("r", [400.0, -400.0, 372.0])
+    def test_rejects_out_of_range_squeezing(self, r):
+        with pytest.raises(UsageError):
+            states.SignalParams(0.6, 0.8, 1.1, r)
+
     def test_g_relation(self):
         p = states.SignalParams(1, 0, 1.0, r=0.4029)
         assert p.g == approx(math.exp(-2 * 0.4029))
@@ -67,7 +72,8 @@ class TestMakeSignal:
         # overlap of the signal with its branch-swapped companion:
         # [(|a|^2+|b|^2) k + 2 Re(a b*)] / [|a|^2+|b|^2 + 2 k Re(a b*)], k = e^{-2 a^2}
         p = states.SignalParams(1, 1j, 1.0, 0.25)
-        val = inner_product(states.make_signal(p), states.make_signal(p.swapped()))
+        swapped = states.SignalParams(p.b, p.a, p.alpha, p.r)
+        val = inner_product(states.make_signal(p), states.make_signal(swapped))
         k = math.exp(-2.0)
         expected = (2 * k + 0.0) / (2 + 0.0)
         assert val == approx(expected, rel=1e-10)
@@ -75,7 +81,8 @@ class TestMakeSignal:
     def test_branch_swap_overlap_generic(self):
         a, b = 0.8, 0.3 - 0.4j
         p = states.SignalParams(a, b, 0.9, 0.1)
-        val = inner_product(states.make_signal(p), states.make_signal(p.swapped()))
+        swapped = states.SignalParams(p.b, p.a, p.alpha, p.r)
+        val = inner_product(states.make_signal(p), states.make_signal(swapped))
         k = math.exp(-2 * 0.81)
         num = (abs(a) ** 2 + abs(b) ** 2) * k + 2 * (a * np.conj(b)).real
         den = abs(a) ** 2 + abs(b) ** 2 + 2 * k * (a * np.conj(b)).real
@@ -127,6 +134,21 @@ class TestSqueezedVacuum:
         with pytest.raises(DomainError):
             states.make_squeezed_vacuum(0.0)
 
+    @pytest.mark.parametrize("g", [math.inf, math.nan, 5e-324])
+    def test_rejects_g_out_of_float_range(self, g):
+        with pytest.raises(DomainError):
+            states.make_squeezed_vacuum(g)
+
+    @pytest.mark.parametrize("r", [400.0, -400.0, math.inf, math.nan])
+    def test_coherent_rejects_out_of_range_squeezing(self, r):
+        with pytest.raises(DomainError):
+            states.make_squeezed_coherent(1.0, r)
+
+    @pytest.mark.parametrize("r", [-354.0, 354.0])
+    def test_squeezing_g_range_edges(self, r):
+        g = states.squeezing_g(r)
+        assert math.isfinite(g) and math.isfinite(1.0 / g)
+
 
 class TestIdealCat:
     def test_small_amplitude_tends_to_vacuum(self):
@@ -139,6 +161,15 @@ class TestIdealCat:
         odd = states.make_ideal_squeezed_cat(1.1, 0.2, "odd")
         assert abs(inner_product(even, odd)) < 1e-12
 
+    @pytest.mark.parametrize("r", [0.0, 0.4029, -0.3])
+    def test_zero_amplitude_even_is_squeezed_vacuum(self, r):
+        cat = states.make_ideal_squeezed_cat(0.0, r, "even", "1")
+        vac = states.make_squeezed_vacuum(math.exp(-2.0 * r), "1")
+        assert cat.modes == vac.modes
+        for t, u in zip(cat.terms, vac.terms, strict=True):
+            assert dict(t.poly) == dict(u.poly) and t.offset == u.offset
+            assert np.array_equal(t.quad, u.quad) and np.array_equal(t.lin, u.lin)
+
     def test_odd_needs_positive_alpha(self):
         with pytest.raises(DomainError):
             states.make_ideal_squeezed_cat(0.0, 0.2, "odd")
@@ -149,9 +180,14 @@ class TestIdealCat:
         assert np.max(np.abs(amps[1::2])) < 1e-10
 
 
+def ideal_resource(alpha, r, parity="even"):
+    return protocols.resource_state(protocols.IdealResource(parity),
+                                    states.SignalParams(1.0, 0.0, alpha, r))
+
+
 class TestEntangledResource:
     def test_zero_amplitude_is_squeezed_vacuum_pair(self):
-        res = states.make_entangled_resource(1e-7, 0.4029)
+        res = ideal_resource(1e-7, 0.4029)
         g = math.exp(-2 * 0.4029)
         pair = multiply(states.make_squeezed_vacuum(g, "1"),
                         states.make_squeezed_vacuum(g, "2"))
@@ -160,15 +196,13 @@ class TestEntangledResource:
     def test_recomputed_normalisation(self):
         # norm of the unnormalised pair superposition: [2 + 2 e^{-4 a^2}]
         alpha, r = 1.0, 0.0
-        g = 1.0
-        mu = alpha * math.sqrt(2 * g)
         plus = multiply(states.make_squeezed_coherent(alpha, r, "1"),
                         states.make_squeezed_coherent(alpha, r, "2"))
         minus = multiply(states.make_squeezed_coherent(-alpha, r, "1"),
                          states.make_squeezed_coherent(-alpha, r, "2"))
         raw = superpose([plus, minus], [1.0, 1.0])
         assert norm_squared(raw) == approx(2 + 2 * math.exp(-4), rel=1e-12)
-        assert norm_squared(states.make_entangled_resource(alpha, r)) == approx(1.0, abs=1e-12)
+        assert norm_squared(ideal_resource(alpha, r)) == approx(1.0, abs=1e-12)
 
     def test_two_mode_overlap_value(self):
         plus = multiply(states.make_squeezed_coherent(1.0, 0.3, "1"),
@@ -181,12 +215,15 @@ class TestEntangledResource:
         alpha, r, g = 1.0, benchmark_params["r"], benchmark_params["g"]
         cat = states.make_ideal_squeezed_cat(math.sqrt(2) * alpha, r, "even", "1")
         mixed = beam_splitter(multiply(cat, states.make_squeezed_vacuum(g, "2")), "2", "1")
-        assert fidelity(mixed, states.make_entangled_resource(alpha, r)) \
-            == approx(1.0, abs=1e-10)
+        assert fidelity(mixed, ideal_resource(alpha, r)) == approx(1.0, abs=1e-10)
 
     def test_odd_resource_defined(self):
-        res = states.make_entangled_resource(0.8, 0.2, "odd")
+        res = ideal_resource(0.8, 0.2, "odd")
         assert norm_squared(res) == approx(1.0, abs=1e-12)
+
+    def test_rejects_unknown_parity(self):
+        with pytest.raises(UsageError):
+            protocols.IdealResource("mixed")
 
 
 class TestFit:
@@ -233,4 +270,4 @@ def test_constructor_norms(a_re, a_im, b_re, b_im, alpha, r):
         return
     assert abs(norm_squared(states.make_signal(p)) - 1.0) < 1e-10
     assert abs(norm_squared(states.make_ideal_squeezed_cat(alpha, r, "even")) - 1.0) < 1e-10
-    assert abs(norm_squared(states.make_entangled_resource(alpha, r)) - 1.0) < 1e-10
+    assert abs(norm_squared(ideal_resource(alpha, r)) - 1.0) < 1e-10
