@@ -145,6 +145,7 @@ def truncation(alpha_range, r, fmt, use_oracle, out):
     """Fidelity of two-level truncations of the even cat, against amplitude."""
     alphas = _parse_range(alpha_range)
     g = states.squeezing_g(r, UsageError)
+    fock.even_cat_cosh(max(alphas, key=abs), UsageError)
     if use_oracle:
         grid = oracle.GridSpec()
         levels = [oracle.sample(hermite_gauss(k), grid) for k in (0, 2)]

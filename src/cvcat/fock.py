@@ -25,7 +25,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DomainError, UsageError
+from .errors import DomainError, EngineError, UsageError
 from .gausspoly import GaussPolyState
 from . import states as _states
 
@@ -75,12 +75,22 @@ def coherent_fock(alpha: float, dim: int) -> FockVector:
     return FockVector(amps)
 
 
+def even_cat_cosh(alpha: float, error: type[EngineError] = DomainError) -> float:
+    """cosh(alpha^2), the even cat's norm factor; raises ``error`` when it
+    leaves the float range (alpha above about 26.6)."""
+    try:
+        return math.cosh(alpha * alpha)
+    except OverflowError as exc:
+        raise error(f"alpha = {alpha:g} is out of range: cosh(alpha^2) overflows "
+                    "above alpha ~ 26.6") from exc
+
+
 def even_cat_fock(alpha: float, dim: int) -> FockVector:
     """Even coherent superposition: alpha^n / sqrt(n! cosh(alpha^2)) on even n."""
     if dim < 1:
         raise UsageError("dim must be >= 1")
     amps = np.zeros(dim, dtype=complex)
-    amps[0] = 1.0 / math.sqrt(math.cosh(alpha * alpha))
+    amps[0] = 1.0 / math.sqrt(even_cat_cosh(alpha))
     for n in range(2, dim, 2):
         amps[n] = amps[n - 2] * alpha * alpha / math.sqrt(n * (n - 1))
     return FockVector(amps)
@@ -151,7 +161,7 @@ def cat_trunc02_formula(alpha: float) -> float:
     """Closed form (alpha^4 + 2) / (2 cosh(alpha^2)) for the even cat on {0, 2}."""
     if alpha < 0:
         raise UsageError("alpha must be >= 0")
-    return (alpha ** 4 + 2.0) / (2.0 * math.cosh(alpha * alpha))
+    return (alpha ** 4 + 2.0) / (2.0 * even_cat_cosh(alpha))
 
 
 def squeezed_cat_trunc02_fidelity(alpha: float, r: float, dim: int = DEFAULT_DIM) -> float:

@@ -29,8 +29,9 @@ DEFAULT_BOUND = 12.0
 #: polynomial widening.
 _COVERAGE_SIGMAS = 6.0
 
-#: Integrand points per row block in quad_teleport (16 MB of complex values).
-_BLOCK_POINTS = 1 << 20
+#: Grid points per row block in sample and quad_teleport: a block's 512 kB
+#: temporaries stay in cache, where whole-grid ones of 16 MB are page-faulted.
+_BLOCK_POINTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -62,22 +63,20 @@ def required_bound(u: GaussPolyState) -> float:
     per-axis standard deviations from the diagonal of Re(Q)^-1; a polynomial
     of degree d widens the support by about sqrt(2 d) standard deviations.
     """
-    bound = 1.0
-    degs = u.degrees()
-    for t in u.terms:
-        rq = t.quad.real
-        try:
-            cov = np.linalg.inv(rq)
-        except np.linalg.LinAlgError as exc:
-            raise DomainError("term covariance is singular") from exc
-        if np.any(np.linalg.eigvalsh(rq) <= 0.0):
-            raise DomainError("term has non-integrable real quadratic form")
-        centre = cov @ t.lin.real
-        sig = np.sqrt(np.abs(np.diag(cov)))
-        for i in range(u.n_modes):
-            reach = abs(centre[i]) + (math.sqrt(2.0 * degs[i]) + _COVERAGE_SIGMAS) * sig[i]
-            bound = max(bound, reach)
-    return bound
+    rq = u._quads.real
+    bad = np.any(np.linalg.eigvalsh(rq) <= 0.0, axis=-1)
+    # terms are checked in order, each for a singular covariance first
+    first_bad = int(np.argmax(bad)) if bad.any() else len(bad)
+    try:
+        cov = np.linalg.inv(rq[:first_bad + 1])
+    except np.linalg.LinAlgError as exc:
+        raise DomainError("term covariance is singular") from exc
+    if first_bad < len(bad):
+        raise DomainError("term has non-integrable real quadratic form")
+    centre = (cov @ u._lins.real[:, :, None])[:, :, 0]
+    sig = np.sqrt(np.abs(np.diagonal(cov, axis1=1, axis2=2)))
+    widen = np.sqrt(2.0 * np.array(u.degrees(), dtype=float)) + _COVERAGE_SIGMAS
+    return float(np.max(np.abs(centre) + widen * sig, initial=1.0))
 
 
 def sample(u: GaussPolyState, grid: GridSpec) -> np.ndarray:
@@ -85,7 +84,8 @@ def sample(u: GaussPolyState, grid: GridSpec) -> np.ndarray:
 
     The state is evaluated on an open grid (``np.meshgrid(..., sparse=True)``),
     so per-axis factors are computed once per axis point rather than once per
-    grid point; the result still has the full tensor-grid shape.
+    grid point; the result still has the full tensor-grid shape.  It is filled
+    in row blocks of 2^15 points, so temporaries stay in cache, not 16 MB each.
     """
     need = required_bound(u)
     if grid.lo > -need or grid.hi < need:
@@ -93,7 +93,23 @@ def sample(u: GaussPolyState, grid: GridSpec) -> np.ndarray:
             f"grid [{grid.lo}, {grid.hi}] does not cover the state; "
             f"use at least [-{need:.2f}, {need:.2f}]")
     axes = np.meshgrid(*[grid.axis()] * u.n_modes, indexing="ij", sparse=True)
-    return u.evaluate(*axes)
+    out = np.empty((grid.points,) * u.n_modes, dtype=complex)
+    edges = _row_edges(grid.points, grid.points ** (u.n_modes - 1))
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        out[lo:hi] = u.evaluate(axes[0][lo:hi], *axes[1:])
+    return out
+
+
+def _row_edges(rows: int, row_points: int) -> list[int]:
+    """Edges of row blocks of about ``_BLOCK_POINTS`` points.  A ragged last
+    block of one row (``@`` would sum it with its dot path, not gemv) or of
+    under 2^14 points (numpy then computes products out of place, rounding
+    them differently) joins the block before, so the values stay bitwise."""
+    edges = list(range(0, rows, max(2, _BLOCK_POINTS // row_points))) + [rows]
+    tail = edges[-1] - edges[-2]
+    if len(edges) > 2 and (tail == 1 or tail * row_points < 1 << 14):
+        del edges[-2]
+    return edges
 
 
 def _trapz_weights(n: int, step: float) -> np.ndarray:
@@ -175,9 +191,9 @@ def quad_teleport(signal: SignalParams, n: int, beta: float, grid: GridSpec,
     evaluated for every x on ``out_axis`` (defaults to the grid axis).  The
     argument scalings are used exactly as written above; agreement with the
     beam-splitter-derived engine output is one of the validation checks.
-    The integrand is built in blocks of output rows of about
-    ``_BLOCK_POINTS`` grid points each, so memory stays bounded on a 4096^2
-    grid; each row's sum is the same as with the whole integrand at once.
+    The integrand is built in the row blocks of ``sample``, so temporaries
+    stay in cache and memory stays bounded on a 4096^2 grid; each row's sum
+    is the same as with the whole integrand at once.
     """
     ladder = make_approx(n)
     vac = make_squeezed_vacuum(signal.g)
@@ -189,10 +205,7 @@ def quad_teleport(signal: SignalParams, n: int, beta: float, grid: GridSpec,
     sig_t = sig.evaluate(t / math.sqrt(2.0))
     w = _trapz_weights(ts.size, grid.step)
     out = np.empty(xs.size, dtype=complex)
-    edges = list(range(0, xs.size, max(2, _BLOCK_POINTS // ts.size))) + [xs.size]
-    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
-        # a lone row would take numpy's dot path, whose sum differs from gemv's
-        del edges[-2]
+    edges = _row_edges(xs.size, ts.size)
     for lo, hi in zip(edges[:-1], edges[1:]):
         x2 = xs[lo:hi, None] / math.sqrt(2.0)
         integrand = (phase

@@ -192,7 +192,9 @@ class TeleportChannel:
         F(a, b) = |v* . overlap . v|^2 / ((v* . basis_gram . v)(v* . out_gram . v)),
 
     with v = (a, b).  Grids of signal states then cost one vectorised formula
-    evaluation per point instead of one pipeline run.
+    evaluation per point instead of one pipeline run.  As in ``teleport``, a
+    herald weight (v* . out_gram . v) / (v* . basis_gram . v) not above
+    HERALD_FLOOR has no fidelity, and ``fidelity_grid`` raises DomainError.
     """
 
     alpha: float
@@ -211,8 +213,11 @@ class TeleportChannel:
             return np.conj(a) * (g[0, 0] * a + g[0, 1] * b) \
                 + np.conj(b) * (g[1, 0] * a + g[1, 1] * b)
 
-        return np.abs(form(self.overlap)) ** 2 \
-            / (form(self.basis_gram).real * form(self.out_gram).real)
+        signal, herald = form(self.basis_gram).real, form(self.out_gram).real
+        if not np.all(herald > HERALD_FLOOR * signal):
+            raise DomainError(f"herald weight not above {HERALD_FLOOR:g}: the "
+                              "heralded output vanishes and its fidelity is undefined")
+        return np.abs(form(self.overlap)) ** 2 / (signal * herald)
 
     def fidelity(self, a: complex, b: complex) -> float:
         return float(self.fidelity_grid(np.array(a), np.array(b)))

@@ -228,12 +228,13 @@ class TestCliPlumbing:
         ["amplify", "--r", "-400", "--alpha-range", "1,1,1"],
         ["avg-fidelity", "--r", "400"],
         ["avg-fidelity", "--r", "-400"],
+        ["truncation", "--alpha-range", "0,40,2"],
     ], ids=["truncation-count-0", "amplify-count-0", "avg-grid-0x4", "avg-grid--2x4",
             "avg-grid-4x0", "validate-trials-0", "validate-trials--1", "avg-tol-0",
             "avg-tol--1", "avg-tol-nan", "map-alpha-nan", "map-r-nan", "amplify-alpha--1",
             "truncation-r-inf", "truncation-r-400", "truncation-r--400", "truncation-r-nan",
             "truncation-alpha-nan", "map-r-400", "map-r--400", "amplify-r-400",
-            "amplify-r--400", "avg-r-400", "avg-r--400"])
+            "amplify-r--400", "avg-r-400", "avg-r--400", "truncation-alpha-40"])
     def test_vacuous_input_exit_two(self, runner, args):
         res = runner.invoke(main, args)
         assert res.exit_code == 2, res.output
@@ -244,6 +245,13 @@ class TestCliPlumbing:
         res = runner.invoke(main, ["fidelity-map", "--r", "200", "--grid", "2x2"])
         assert res.exit_code == 3, res.output
         assert "not finite" in res.output
+
+    def test_vanishing_herald_exit_three(self, runner):
+        # both branch outputs underflow to zero, so the fidelity is 0 / 0
+        res = runner.invoke(main, ["fidelity-map", "--alpha", "1e6", "--grid", "2x2"])
+        assert res.exit_code == 3, res.output
+        assert "herald weight" in res.output
+        assert "nan" not in res.output
 
     @pytest.mark.parametrize("command, text", [
         ("truncation", "format = xml\n"),

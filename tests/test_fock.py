@@ -45,6 +45,15 @@ class TestEvenCatFock:
         assert fock.truncation_fidelity(vec, {0, 2}) == approx(0.97, abs=0.005)
 
 
+    def test_overflowing_norm_raises(self):
+        # cosh(alpha^2) leaves the float range above alpha ~ 26.6
+        assert fock.even_cat_cosh(26.6) < math.inf
+        for call in (lambda: fock.even_cat_fock(26.7, 8),
+                     lambda: fock.cat_trunc02_formula(40.0)):
+            with pytest.raises(DomainError, match="out of range"):
+                call()
+
+
 class TestFockFromWavefunction:
     def test_vacuum(self):
         amps = fock.fock_from_wavefunction(hermite_gauss(0), 8).amps

@@ -7,7 +7,8 @@ from pytest import approx
 
 from cvcat import oracle, protocols, states
 from cvcat.errors import DomainError, UsageError
-from cvcat.gausspoly import hermite_gauss, inner_product, norm_squared
+from cvcat.gausspoly import (GaussPolyState, GaussTerm, hermite_gauss, inner_product,
+                             norm_squared)
 
 
 class TestGridSpec:
@@ -22,6 +23,63 @@ class TestGridSpec:
         xs = g.axis()
         assert xs[0] == -2.0 and xs[-1] == 2.0
         assert g.step == approx(0.04)
+
+
+def _per_term_bound(u):
+    """required_bound as a loop over the terms, the reference for the
+    stacked version."""
+    bound = 1.0
+    degs = u.degrees()
+    for t in u.terms:
+        rq = t.quad.real
+        try:
+            cov = np.linalg.inv(rq)
+        except np.linalg.LinAlgError as exc:
+            raise DomainError("term covariance is singular") from exc
+        if np.any(np.linalg.eigvalsh(rq) <= 0.0):
+            raise DomainError("term has non-integrable real quadratic form")
+        centre = cov @ t.lin.real
+        sig = np.sqrt(np.abs(np.diag(cov)))
+        for i in range(u.n_modes):
+            reach = abs(centre[i]) + (math.sqrt(2.0 * degs[i]) + oracle._COVERAGE_SIGMAS) * sig[i]
+            bound = max(bound, reach)
+    return bound
+
+
+def _outcome(fn, u):
+    try:
+        return fn(u)
+    except DomainError as exc:
+        return str(exc)
+
+
+class TestRequiredBound:
+    def test_matches_per_term_loop_bitwise(self, benchmark_params):
+        rng = np.random.default_rng(2024)
+        corpus = [oracle.random_gauss_poly(rng, m, max_terms=4)
+                  for m in (1, 2, 3) for _ in range(60)]
+        corpus += [states.make_approx(n) for n in (0, 1, 2, 5, 16, 32)]
+        p = states.SignalParams(1, 0.5j, benchmark_params["signal_alpha"], benchmark_params["r"])
+        corpus += [states.make_signal(p), protocols.teleport(p, protocols.ApproxResource(4)).output,
+                   protocols.resource_state(protocols.ApproxResource(3), p),
+                   GaussPolyState(("x",), ())]
+        for u in corpus:
+            assert oracle.required_bound(u) == _per_term_bound(u)
+
+    @pytest.mark.parametrize("forms, message", [
+        ([[[1.0, 0.2], [0.2, 1.5]], [[1.0, 1.0], [1.0, 1.0]]], "singular"),
+        ([[[1.0, 0.2], [0.2, 1.5]], [[1.0, 0.0], [0.0, -1.0]]], "non-integrable"),
+        ([[[1.0, 0.0], [0.0, -1.0]], [[1.0, 1.0], [1.0, 1.0]]], "non-integrable"),
+        ([[[1.0, 1.0], [1.0, 1.0]], [[1.0, 0.0], [0.0, -1.0]]], "singular"),
+        ([[[0.0, 0.0], [0.0, 0.0]]], "singular"),
+    ], ids=["good-singular", "good-indefinite", "indefinite-singular",
+            "singular-indefinite", "zero"])
+    def test_first_bad_term_decides_the_error(self, forms, message):
+        u = GaussPolyState(("x", "y"), tuple(
+            GaussTerm({(0, 0): 1.0}, np.array(q, dtype=complex), np.full(2, k + 1.0 + 0j))
+            for k, q in enumerate(forms)))
+        assert message in _outcome(oracle.required_bound, u)
+        assert _outcome(oracle.required_bound, u) == _outcome(_per_term_bound, u)
 
 
 class TestSample:
@@ -54,6 +112,54 @@ class TestSample:
         with pytest.raises(DomainError) as err:
             oracle.sample(wide, oracle.GridSpec(-4.0, 4.0, 256))
         assert "use at least" in str(err.value)
+
+    @pytest.mark.parametrize("n_modes, points, block", [
+        (1, 40000, 1 << 14),   # a ragged 7232-point tail joins its neighbour
+        (2, 1024, 1 << 14),
+        (2, 1024, 3 << 13),    # a 16-row tail of 2^14 points stays a block
+        (2, 1024, 1 << 15),
+        (2, 1000, 1 << 15),    # an 8-row tail of 8000 points joins its neighbour
+        (3, 64, 1 << 14),
+        (3, 100, 1 << 15),     # a lone 10^4-point tail row joins its neighbour
+    ])
+    def test_row_blocks_match_one_block_bitwise(self, monkeypatch, n_modes, points, block):
+        rng = np.random.default_rng(7 + n_modes)
+        grid = oracle.GridSpec(-18.0, 18.0, points)
+        states_ = [oracle.random_gauss_poly(rng, n_modes, max_terms=3) for _ in range(3)]
+        monkeypatch.setattr(oracle, "_BLOCK_POINTS", 1 << 40)
+        whole = [oracle.sample(u, grid) for u in states_]
+        monkeypatch.setattr(oracle, "_BLOCK_POINTS", block)
+        assert len(oracle._row_edges(points, points ** (n_modes - 1))) > 2
+        for u, ref in zip(states_, whole):
+            assert np.array_equal(oracle.sample(u, grid), ref)
+
+    @pytest.mark.parametrize("rows", [100, 161, 1000, 1024, 40000])
+    @pytest.mark.parametrize("row_points", [1, 100, 1000, 4096, 20000])
+    def test_row_edges_keep_blocks_of_2_to_the_14_points(self, rows, row_points):
+        # numpy computes products with temporaries of 2^14 complex values or
+        # more in place, and rounds them differently from smaller ones
+        edges = oracle._row_edges(rows, row_points)
+        assert edges[0] == 0 and edges[-1] == rows
+        sizes = np.diff(edges)
+        assert np.all(sizes > 0)
+        if len(sizes) > 1:
+            assert np.all(sizes >= 2)
+            assert np.all(sizes * row_points >= 1 << 14)
+        assert np.all(sizes * row_points < 2 * oracle._BLOCK_POINTS + 2 * row_points)
+
+    def test_two_mode_peak_memory(self):
+        # the 1024^2 grid of the oracle corpus: the output is 16 MB, and
+        # whole-grid temporaries would take that peak to 80-96 MB
+        rng = np.random.default_rng(3)
+        u = oracle.random_gauss_poly(rng, 2, max_terms=3)
+        grid = oracle.GridSpec(-18.0, 18.0, oracle.DEFAULT_POINTS_2D)
+        tracemalloc.start()
+        try:
+            oracle.sample(u, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
 
     def test_non_integrable_state_rejected(self):
         import numpy as np

@@ -114,6 +114,13 @@ class TestTeleportApprox:
             direct = protocols.teleport(signal(a, b), protocols.ApproxResource(2))
             assert chan.fidelity(a, b) == approx(direct.fidelity_vs_signal, abs=1e-12)
 
+    def test_channel_refuses_vanishing_herald(self):
+        # at alpha = 1e6 every heralded branch output underflows to zero
+        chan = protocols.teleport_channel(1e6, R, protocols.ApproxResource(2))
+        assert not np.any(chan.out_gram)
+        with pytest.raises(DomainError, match="herald weight"):
+            chan.fidelity_grid(np.array([1.0, 0.6]), np.array([0.0, 0.8]))
+
 
 class TestTeleportOracle:
     @pytest.mark.parametrize("n", [16, 32])
