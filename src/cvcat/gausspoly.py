@@ -671,17 +671,18 @@ def hermite_gauss(n: int, mode: str = "x") -> GaussPolyState:
     h_{n+1} = sqrt(2/(n+1)) x h_n - sqrt(n/(n+1)) h_{n-1}.  Contractions
     of the monomial-basis result cancel more with every degree:
     ``norm_squared(hermite_gauss(n)) - 1`` is about 1e-13 at n = 10, 3e-9 at
-    n = 18, 1.1e-8 at n = 19, 2.3e-8 at n = 20 and -1.4e-6 at n = 25.  Every
-    coefficient is kept, so this error is cancellation in the monomial
-    basis: large moments of alternating sign rounded before they are summed
-    (see ROADMAP item 2).  Photon-number projections of arbitrary states
+    n = 18, -3.2e-7 at n = 23, 2.2e-6 at n = 24, 1.1e-3 at n = 30 and 62 at
+    n = 40.  Every coefficient is kept, so this error is cancellation in the
+    monomial basis: large moments of alternating sign rounded before they are
+    summed.  So n above 23, the largest degree whose norm stays within 1e-6
+    of 1, raises DomainError.  Photon-number projections of arbitrary states
     should go through fock.fock_from_wavefunction, which uses a stable
     recurrence instead.
     """
     if n < 0:
         raise UsageError("excitation number must be >= 0")
-    if n > DEGREE_CAP:
-        raise CapacityError(f"polynomial degree cap {DEGREE_CAP} exceeded")
+    if n > 23:
+        raise DomainError("hermite_gauss keeps its norm within 1e-6 of 1 only up to n = 23")
     prev: Poly = {}
     cur: Poly = {(0,): math.pi ** -0.25 + 0j}
     for k in range(n):

@@ -19,9 +19,10 @@ import numpy as np
 
 from .errors import DomainError, EngineError, UsageError
 from .gausspoly import (
+    GaussianMomentSpec,
     GaussPolyState,
     GaussTerm,
-    fidelity,
+    gaussian_moment_integral,
     superpose,
 )
 
@@ -144,7 +145,7 @@ def make_ideal_squeezed_cat(alpha: float, r: float, parity: Parity = "even",
 
 @dataclass(frozen=True)
 class EffectiveParams:
-    """Best (alpha, g) of an ideal squeezed even cat matching a ladder state."""
+    """Best (alpha, g) of an ideal squeezed cat matching a ladder state."""
 
     alpha: float
     g: float
@@ -156,45 +157,58 @@ class EffectiveParams:
         return -0.5 * math.log(self.g)
 
 
-#: Nelder-Mead ``fatol`` of ``fit_effective_params``: the fidelity change
-#: below which a search stops.
-FIT_TOL = 1e-8
-
-
 @lru_cache(maxsize=None)
 def fit_effective_params(n: int) -> EffectiveParams:
     """Maximise fidelity(make_approx(n), ideal squeezed cat) over (alpha, g).
 
     The comparison cat carries the parity of n (x^n exp(-x^2/2) is an even
     function for even n and odd otherwise; the opposite-parity overlap
-    vanishes identically).  Direct Nelder-Mead search in (log alpha, log g)
-    from five coarse starts; the landscape is smooth and single-peaked in the
-    region of interest.
+    vanishes identically), so F = 2 O^2 / (1 +/- exp(-2 alpha^2)) with
+    O = N_n (pi g)^(-1/4) exp(-alpha^2) I_n, N_n^2 = 1 / Gamma(n + 1/2) and
+    I_k = integral x^k exp(-a x^2 + 2 b x) dx at a = (1 + 1/g) / 2,
+    b = alpha / sqrt(2 g).  Since dI_k/db = 2 I_{k+1} and dI_k/da = -I_{k+2},
+    the gradient and Hessian of log F in (log alpha, log g) are exact in the
+    moments I_n .. I_{n+4}, which ``gaussian_moment_integral`` computes.
+    Newton's method from (sqrt(n), 1/2) solves grad log F = 0 within a factor
+    e of that start; ``converged`` says that max |grad log F| <= 1e-12 was
+    reached.
+
+    n = 1 has no interior optimum: x exp(-x^2/2) is the Fock state |1>, the
+    alpha -> 0, g -> 1 limit of the odd squeezed cat, where F = 1.  That
+    limit is returned as EffectiveParams(0.0, 1.0, 1.0, True).
     """
-    from scipy import optimize  # deferred: importing scipy dominates CLI start-up
-
-    if n < 1:
-        raise UsageError("fit is defined for n >= 1")
-    ladder = make_approx(n)
-    parity: Parity = "even" if n % 2 == 0 else "odd"
-
-    def objective(params: np.ndarray) -> float:
-        alpha, g = math.exp(params[0]), math.exp(params[1])
-        if alpha > 20.0 or g > 20.0 or g < 1e-4:
-            return 1.0
-        cat = make_ideal_squeezed_cat(alpha, -0.5 * math.log(g), parity)
-        return -fidelity(ladder, cat)
-
-    guess_alpha = math.sqrt(2.0 * n)
-    starts = [(guess_alpha * fa, g0) for fa, g0 in
-              ((0.6, 0.45), (1.0, 0.45), (1.4, 0.45), (1.0, 0.25), (1.0, 0.8))]
-    best = None
-    converged = False
-    for a0, g0 in starts:
-        res = optimize.minimize(objective, np.log([a0, g0]), method="Nelder-Mead",
-                                options={"xatol": 1e-9, "fatol": FIT_TOL, "maxiter": 600})
-        if best is None or res.fun < best.fun:
-            best = res
-            converged = bool(res.success)
-    alpha, g = math.exp(best.x[0]), math.exp(best.x[1])
-    return EffectiveParams(alpha, g, -best.fun, converged)
+    if not 1 <= n <= MAX_EXCITATION:
+        raise UsageError(f"fit is defined for 1 <= n <= {MAX_EXCITATION}")
+    if n == 1:
+        return EffectiveParams(0.0, 1.0, 1.0, True)
+    sign = 1.0 if n % 2 == 0 else -1.0
+    start = p = np.log([math.sqrt(n), 0.5])
+    for _ in range(20):
+        alpha, g = math.exp(p[0]), math.exp(p[1])
+        a, b = (1.0 + 1.0 / g) / 2.0, alpha / math.sqrt(2.0 * g)
+        moments = [gaussian_moment_integral(GaussianMomentSpec(a, b, n + k)).real
+                   for k in range(5)]
+        m = np.array(moments) / moments[0]
+        e = sign * math.exp(-2.0 * alpha * alpha)
+        # log F = 2 log I_n - 2 alpha^2 - log(1 + e) - log(g) / 2 + const.  The
+        # rows of phi are d/d(log alpha) and d/d(log g) of -a x^2 + 2 b x, as
+        # coefficients of 1, x, x^2: log I_n has their mean under the weight
+        # x^n exp(-a x^2 + 2 b x) as gradient, and their covariance plus the
+        # mean of their own derivatives as Hessian.
+        phi = np.array([[0.0, 2.0 * b, 0.0], [0.0, -b, 0.5 / g]])
+        mean = phi @ m[:3]
+        grad = 2.0 * mean + [-4.0 * alpha * alpha / (1.0 + e), -0.5]
+        converged = np.max(np.abs(grad)) <= 1e-12
+        if converged:
+            break
+        hankel = np.array([m[k:k + 3] for k in range(3)])
+        own = b * m[1] * np.array([[2.0, -1.0], [-1.0, 0.5]])
+        own[1, 1] -= m[2] / (2.0 * g)
+        hess = 2.0 * (phi @ hankel @ phi.T - np.outer(mean, mean) + own)
+        hess[0, 0] -= 8.0 * alpha ** 2 / (1.0 + e) + 16.0 * alpha ** 4 * e / (1.0 + e) ** 2
+        p = p - np.linalg.solve(hess, grad)
+        if np.max(np.abs(p - start)) > 1.0:
+            break  # only a perturbed integrator moves the optimum this far
+    log_f = (math.log(2.0) - math.lgamma(n + 0.5) - 0.5 * math.log(math.pi * g)
+             - 2.0 * alpha * alpha + 2.0 * math.log(moments[0]) - math.log1p(e))
+    return EffectiveParams(alpha, g, math.exp(log_f), bool(converged))

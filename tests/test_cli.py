@@ -38,6 +38,14 @@ def invoke(runner, args):
     return runner.invoke(main, args, catch_exceptions=False)
 
 
+def _scipy_modules_after(code, env):
+    """The scipy modules a fresh interpreter has loaded after running ``code``."""
+    code += "; import sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    return proc.stdout.strip()
+
+
 def parse_csv(text):
     lines = [l for l in text.splitlines() if l and not l.startswith("#")]
     header = lines[0].split(",")
@@ -296,8 +304,11 @@ class TestCliPlumbing:
         assert "0.1.0" in res.output
 
     def test_import_loads_no_scipy(self, child_env):
-        code = ("import sys, cvcat.cli; "
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=child_env, timeout=120, check=True)
-        assert proc.stdout.strip() == "[]"
+        assert _scipy_modules_after("import cvcat.cli", child_env) == "[]"
+
+    def test_ladder_amplification_loads_no_scipy(self, child_env):
+        # the effective-cat fit behind every ladder row needs no optimiser
+        code = ("from cvcat import protocols, states; "
+                "protocols.amplify_iterate(protocols.ApproxResource(1), 3); "
+                "states.fit_effective_params(1)")
+        assert _scipy_modules_after(code, child_env) == "[]"

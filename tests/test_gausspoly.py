@@ -197,10 +197,16 @@ class TestInnerProduct:
         with pytest.raises(DomainError):
             protocols.teleport_channel(math.sqrt(1.3), 200.0, protocols.ApproxResource(2))
 
-    @pytest.mark.parametrize("n", [19, 20])
+    @pytest.mark.parametrize("n", range(24))
     def test_high_degree_hermite_norm(self, n):
-        # off 1 by 1.1e-8 and 2.3e-8: cancellation in the monomial basis
+        # cancellation in the monomial basis: off 1 by -3.2e-7 at n = 23
         assert abs(norm_squared(hermite_gauss(n)) - 1.0) < 1e-6
+
+    @pytest.mark.parametrize("n", [24, 40])
+    def test_hermite_refuses_degrees_it_cannot_normalise(self, n):
+        # norm^2 - 1 would be 2.2e-6 at n = 24 and 62 at n = 40
+        with pytest.raises(DomainError):
+            hermite_gauss(n)
 
     @given(seed=st.integers(0, 10_000))
     def test_conjugate_symmetry(self, seed):

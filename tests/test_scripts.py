@@ -38,7 +38,7 @@ OUTPUT_DIGEST = """\
 teleport 192 ade127172f5bda1eecc2819d962ac95f4a25c0bfe92fd69fd5c47bf8053f5100
 ideal_teleport 36 d49d5952660eef0b7f21fa4b1c8bc27bc326e52208d48b1a41abc1bee53435b5
 ideal_chain 190 7967eea4e318a21fe2cbb507cf139f78eefc6fa467cdd3584695932f8371c3eb
-ladder_chain 14 c440a0f68e6ce8e0a6df061f40c21281185c499eeeccb49f0ab6cf2d4870e31a
+ladder_chain 14 337e667821899d8039ffee5545e282959c9271bad4ffc9ce5d201a9357da8147
 operations 174 f39c9ae9aa66411d452107d92115fcadaaa8a9faf156c70a0400c17ddccff19c
 """
 

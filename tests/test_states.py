@@ -235,8 +235,29 @@ class TestFit:
         assert f.fidelity == approx(0.99, abs=0.005)
 
     def test_single_excitation_optimum_exists(self):
+        # x exp(-x^2/2) is |1>, the alpha -> 0, g -> 1 limit of the odd cat
         f = states.fit_effective_params(1)
+        assert f == states.EffectiveParams(0.0, 1.0, 1.0, True)
+        near = states.make_ideal_squeezed_cat(1e-4, 0.0, "odd")
+        assert fidelity(states.make_approx(1), near) > 1.0 - 1e-7
         assert f.fidelity > 0.97
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 8, 16, 32])
+    def test_fit_is_stationary_in_40_digits(self, n):
+        mpmath = pytest.importorskip("mpmath")
+        f = states.fit_effective_params(n)
+        assert f.converged
+        with mpmath.workdps(40):
+            u, v = mpmath.log(f.alpha), mpmath.log(f.g)
+            grad = [mpmath.diff(lambda t: _log_fidelity_40(mpmath, n, t, v), u),
+                    mpmath.diff(lambda t: _log_fidelity_40(mpmath, n, u, t), v)]
+            assert max(abs(d) for d in grad) <= 1e-9
+            exact = float(mpmath.exp(_log_fidelity_40(mpmath, n, u, v)))
+        parity = "even" if n % 2 == 0 else "odd"
+        engine = fidelity(states.make_approx(n),
+                          states.make_ideal_squeezed_cat(f.alpha, f.r, parity))
+        assert abs(engine - exact) <= 1e-13
+        assert abs(f.fidelity - exact) <= 1e-13
 
     def test_local_optimality(self):
         f = states.fit_effective_params(2)
@@ -254,6 +275,23 @@ class TestFit:
     def test_requires_positive_n(self):
         with pytest.raises(UsageError):
             states.fit_effective_params(0)
+        with pytest.raises(UsageError):
+            states.fit_effective_params(states.MAX_EXCITATION + 1)
+
+
+def _log_fidelity_40(mp, n, log_alpha, log_g):
+    """log F of x^n exp(-x^2/2) against the squeezed cat of n's parity at
+    (alpha, g), in the working precision of ``mp``.  I_n comes from the
+    binomial sum of Normal(b/a, 1/2a) moments, not from the engine."""
+    alpha, g = mp.exp(log_alpha), mp.exp(log_g)
+    a, b = (1 + 1 / g) / 2, alpha / mp.sqrt(2 * g)
+    mu, var = b / a, 1 / (2 * a)
+    moment = mp.fsum(mp.binomial(n, j) * mu ** (n - j) * var ** (j // 2) * mp.fac2(j - 1)
+                     for j in range(0, n + 1, 2))
+    overlap = mp.sqrt(mp.pi / a) * mp.exp(b * b / a) * moment
+    cat_norm = 1 + (-1) ** n * mp.exp(-2 * alpha ** 2)
+    return (mp.log(2) - mp.loggamma(n + mp.mpf(1) / 2) - mp.log(mp.pi * g) / 2
+            - 2 * alpha ** 2 + 2 * mp.log(overlap) - mp.log(cat_norm))
 
 
 @given(
