@@ -13,6 +13,9 @@ and after.  The families:
 * ``teleport``: ladder resources n = 1..32, three signals, beta auto and 0.7;
 * ``ideal_teleport``: even and odd ideal resources at alpha = 0.5, sqrt(1.3)
   and 1.5, the same signals and beta values;
+* ``channel``: the overlap, basis and output Gram matrices of
+  ``teleport_channel`` for the resources and beta values of the two teleport
+  families;
 * ``ideal_chain``: five-step ideal-cat amplify chains over the 16-alpha grid
   of ``perfbench``'s ``amplify_chain`` plus alpha = 0, 1.0 and 1.0 + 1e-12,
   at r = 0.4 and 0.4029;
@@ -95,13 +98,31 @@ def teleports(cases) -> Digest:
     return d
 
 
+LADDER_CASES = [(math.sqrt(n / 2.0), protocols.ApproxResource(n)) for n in range(1, 33)]
+IDEAL_CASES = [(alpha, protocols.IdealResource(parity))
+               for parity in ("even", "odd") for alpha in (0.5, math.sqrt(1.3), 1.5)]
+
+
 def ladder_teleports() -> Digest:
-    return teleports((math.sqrt(n / 2.0), protocols.ApproxResource(n)) for n in range(1, 33))
+    return teleports(LADDER_CASES)
 
 
 def ideal_teleports() -> Digest:
-    return teleports((alpha, protocols.IdealResource(parity))
-                     for parity in ("even", "odd") for alpha in (0.5, math.sqrt(1.3), 1.5))
+    return teleports(IDEAL_CASES)
+
+
+def channels() -> Digest:
+    d = Digest()
+    for alpha, resource in LADDER_CASES + IDEAL_CASES:
+        for beta in (None, 0.7):
+            try:
+                c = protocols.teleport_channel(alpha, R_BENCH, resource, beta)
+            except EngineError as exc:
+                d.add(type(exc).__name__.encode())
+                continue
+            d.add(f2b(c.beta), c.overlap.tobytes(), c.basis_gram.tobytes(),
+                  c.out_gram.tobytes())
+    return d
 
 
 def chains(sources, steps) -> Digest:
@@ -159,6 +180,7 @@ def operations() -> Digest:
 
 def main() -> None:
     for family, make in (("teleport", ladder_teleports), ("ideal_teleport", ideal_teleports),
+                         ("channel", channels),
                          ("ideal_chain", ideal_chains), ("ladder_chain", ladder_chains),
                          ("operations", operations)):
         print(make().line(family), flush=True)
