@@ -201,9 +201,8 @@ def fidelity_map(resource, parity, n, alpha, r, beta, grid, fmt, use_oracle, out
             for t, p, f in protocols.fidelity_map(res, alpha, r, sweep, beta)]
     extra = {"bloch_parametrization": "a = cos(theta), b = exp(i phi) sin(theta)"}
     if use_oracle and resource == "approx":
-        used_beta = beta if beta is not None else protocols.default_beta(
-            states.SignalParams(1.0, 0.0, alpha, r), res)
         p = states.SignalParams(math.cos(math.pi / 4), math.sin(math.pi / 4), alpha, r)
+        used_beta = beta if beta is not None else protocols.default_beta(p, res)
         engine = protocols.teleport(p, res, beta=used_beta).fidelity_vs_signal
         grid = oracle.GridSpec()
         direct = oracle.quad_fidelity(oracle.sample(states.make_signal(p), grid),

@@ -6,7 +6,9 @@ post-select the quadrature outcome x_1 = 0, then project mode s on the
 plane-wave kernel exp(i beta x_s).  The surviving mode 2 is the teleported
 state.  With the even two-mode resource the matching projection value is
 beta = 0; with the odd resource (or an odd-excitation approximate resource)
-it is beta = pi / (4 alpha sqrt(g)).
+it is beta = pi / (4 alpha sqrt(g)).  The pipeline is linear in the signal,
+so it runs once per branch S|+-alpha> (``teleport_channel``), and every
+teleport number, ``teleport``'s too, comes from the two branch outputs.
 
 The approximate resource replaces the ideal even cat of amplitude
 sqrt(2)*alpha entering the resource beam splitter by the ladder state
@@ -40,7 +42,6 @@ from .gausspoly import (
     fidelity,
     inner_product,
     multiply,
-    norm_squared,
     project_p,
     relabel,
     superpose,
@@ -52,7 +53,6 @@ from .states import (
     fit_effective_params,
     make_approx,
     make_ideal_squeezed_cat,
-    make_signal,
     make_squeezed_coherent,
     make_squeezed_vacuum,
     squeezing_g,
@@ -162,20 +162,14 @@ def _pipeline(component: GaussPolyState, res: GaussPolyState, beta: float) -> Ga
 
 def teleport(signal: SignalParams, resource: Resource,
              beta: float | None = None) -> TeleportOutcome:
-    """Run the full post-selected protocol for one signal state."""
-    if beta is None:
-        beta = default_beta(signal, resource)
-    if isinstance(resource, IdentityResource):
-        out = relabel(make_signal(signal), {"s": "2"})
-        return TeleportOutcome(out, 1.0, 1.0)
-    res = resource_state(resource, signal)
-    sig = make_signal(signal, mode="s")
-    raw = _pipeline(sig, res, beta)
-    weight = norm_squared(raw)
-    if not weight > HERALD_FLOOR:
+    """Run the full post-selected protocol for one signal state: the channel
+    of its (alpha, r) basis evaluated at v = (a, b)."""
+    chan = teleport_channel(signal.alpha, signal.r, resource, beta)
+    overlap, norm, herald = (f.item() for f in chan.forms(signal.a, signal.b))
+    if not herald > HERALD_FLOOR * norm:
         return TeleportOutcome(None, 0.0, 0.0, accepted=False)
-    out = _unit_scaled(raw, weight)
-    return TeleportOutcome(out, weight, fidelity(relabel(sig, {"s": "2"}), out))
+    out = _unit_scaled(superpose(chan.outputs, [signal.a, signal.b]), herald)
+    return TeleportOutcome(out, herald / norm, abs(overlap) ** 2 / (norm * herald))
 
 
 # ---------------------------------------------------------------------------
@@ -184,17 +178,19 @@ def teleport(signal: SignalParams, resource: Resource,
 
 @dataclass(frozen=True)
 class TeleportChannel:
-    """Teleportation reduced to 2x2 Gram matrices.
+    """Teleportation reduced to its two branch outputs and 2x2 Gram matrices.
 
     The pipeline is linear in the signal, so running it once per basis branch
-    S(r)|alpha> and S(r)|-alpha> determines the output for every (a, b):
+    S(r)|alpha> and S(r)|-alpha> determines, for every v = (a, b), the output
+    a * outputs[0] + b * outputs[1], its herald weight
+    (v* . out_gram . v) / (v* . basis_gram . v) and its fidelity
 
-        F(a, b) = |v* . overlap . v|^2 / ((v* . basis_gram . v)(v* . out_gram . v)),
+        F(a, b) = |v* . overlap . v|^2 / ((v* . basis_gram . v)(v* . out_gram . v)).
 
-    with v = (a, b).  Grids of signal states then cost one vectorised formula
-    evaluation per point instead of one pipeline run.  As in ``teleport``, a
-    herald weight (v* . out_gram . v) / (v* . basis_gram . v) not above
-    HERALD_FLOOR has no fidelity, and ``fidelity_grid`` raises DomainError.
+    ``teleport`` evaluates it at one signal; a grid of signals costs one
+    vectorised formula evaluation per point.  A herald weight not above
+    HERALD_FLOOR has no fidelity: ``fidelity_grid`` raises DomainError, and
+    ``teleport`` returns an outcome that is not accepted.
     """
 
     alpha: float
@@ -203,21 +199,25 @@ class TeleportChannel:
     overlap: np.ndarray
     basis_gram: np.ndarray
     out_gram: np.ndarray
+    outputs: tuple[GaussPolyState, GaussPolyState]
 
-    def fidelity_grid(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def forms(self, a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """v* . G . v at every v = (a, b) for G = overlap, basis_gram, out_gram."""
         a = np.asarray(a, dtype=complex)
         b = np.asarray(b, dtype=complex)
 
         def form(g: np.ndarray) -> np.ndarray:
-            """conj(v) . g . v at every grid point, v = (a, b)."""
             return np.conj(a) * (g[0, 0] * a + g[0, 1] * b) \
                 + np.conj(b) * (g[1, 0] * a + g[1, 1] * b)
 
-        signal, herald = form(self.basis_gram).real, form(self.out_gram).real
+        return form(self.overlap), form(self.basis_gram).real, form(self.out_gram).real
+
+    def fidelity_grid(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        overlap, signal, herald = self.forms(a, b)
         if not np.all(herald > HERALD_FLOOR * signal):
             raise DomainError(f"herald weight not above {HERALD_FLOOR:g}: the "
                               "heralded output vanishes and its fidelity is undefined")
-        return np.abs(form(self.overlap)) ** 2 / (signal * herald)
+        return np.abs(overlap) ** 2 / (signal * herald)
 
     def fidelity(self, a: complex, b: complex) -> float:
         return float(self.fidelity_grid(np.array(a), np.array(b)))
@@ -225,7 +225,7 @@ class TeleportChannel:
 
 def teleport_channel(alpha: float, r: float, resource: Resource,
                      beta: float | None = None) -> TeleportChannel:
-    """Precompute the channel matrices for signals in the (alpha, r) basis."""
+    """Precompute the branch outputs and channel matrices in the (alpha, r) basis."""
     probe = SignalParams(1.0, 0.0, alpha, r)
     if beta is None:
         beta = default_beta(probe, resource)
@@ -239,7 +239,7 @@ def teleport_channel(alpha: float, r: float, resource: Resource,
     m = np.array([[inner_product(bi, oj) for oj in outs] for bi in basis])
     s = np.array([[inner_product(bi, bj) for bj in basis] for bi in basis])
     h = np.array([[inner_product(oi, oj) for oj in outs] for oi in outs])
-    return TeleportChannel(alpha, r, beta, m, s, h)
+    return TeleportChannel(alpha, r, beta, m, s, h, tuple(outs))
 
 
 # ---------------------------------------------------------------------------

@@ -312,3 +312,9 @@ class TestCliPlumbing:
                 "protocols.amplify_iterate(protocols.ApproxResource(1), 3); "
                 "states.fit_effective_params(1)")
         assert _scipy_modules_after(code, child_env) == "[]"
+
+    def test_moment_checks_load_no_scipy(self, child_env):
+        # the moment integrals are checked against the oracle's trapezoid
+        code = ("from cvcat import validate; "
+                "assert all(c.passed for c in validate._moment_checks())")
+        assert _scipy_modules_after(code, child_env) == "[]"

@@ -7,7 +7,7 @@ from pytest import approx
 
 from cvcat import oracle, protocols, states
 from cvcat.errors import CapacityError, DomainError, UsageError
-from cvcat.gausspoly import fidelity, norm_squared
+from cvcat.gausspoly import fidelity, norm_squared, relabel
 
 
 ALPHA = math.sqrt(1.3)
@@ -51,19 +51,19 @@ class TestTeleportIdeal:
         assert 0.0 <= out.fidelity_vs_signal <= 1 + 1e-10
 
 
-def ideal_teleport_closed_form(p, parity, beta):
-    """(fidelity, herald weight) of the ideal-resource teleport, derived
-    without the engine.  Every stage maps products of squeezed coherent
-    states to products of squeezed coherent states, so the signal branch
-    S|s alpha> leaves sum_t w_st S|t alpha>_2 on mode 2, with
+def branch_weights(alpha, g, parity, beta):
+    """The ideal-resource teleport, derived without the engine.  Every stage
+    maps products of squeezed coherent states to products of squeezed
+    coherent states, so the signal branch S|s alpha> leaves
+    sum_t w[s, t] S|t alpha>_2 on mode 2, with
 
         w_st = N_R p_t pi^-1/2 exp(-(t - s)^2 alpha^2 / 2
                                    + i beta (s + t) alpha sqrt(g) - g beta^2 / 2),
 
     p_+ = 1, p_- = +/-1 for the even/odd resource and
     N_R = (2 +/- 2 exp(-4 alpha^2))^-1/2.  Branch overlaps are 1 for equal
-    branches and exp(-2 alpha^2) for opposite ones."""
-    alpha, g = p.alpha, p.g
+    branches and exp(-2 alpha^2) for opposite ones: returns (w, their Gram
+    matrix), rows and columns ordered s, t = +1, -1."""
     sign = 1.0 if parity == "even" else -1.0
     n_r = (2.0 + 2.0 * sign * math.exp(-4.0 * alpha ** 2)) ** -0.5
     branches = (1.0, -1.0)
@@ -72,7 +72,13 @@ def ideal_teleport_closed_form(p, parity, beta):
                                + 1j * beta * (s + t) * alpha * math.sqrt(g) - g * beta ** 2 / 2.0)
                    for t in branches] for s in branches])
     k = math.exp(-2.0 * alpha ** 2)
-    gram = np.array([[1.0, k], [k, 1.0]])
+    return w, np.array([[1.0, k], [k, 1.0]])
+
+
+def ideal_teleport_closed_form(p, parity, beta):
+    """(fidelity, herald weight) of the ideal-resource teleport from
+    ``branch_weights``."""
+    w, gram = branch_weights(p.alpha, p.g, parity, beta)
     d = np.array([p.a, p.b], dtype=complex)
     d = d / math.sqrt((d.conj() @ gram @ d).real)
     c = d @ w
@@ -94,6 +100,29 @@ class TestTeleportIdealClosedForm:
         assert abs(out.fidelity_vs_signal - fid) <= 1e-13
         assert abs(out.herald_weight - weight) <= 1e-13 * weight
 
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    @pytest.mark.parametrize("beta", [None, 0.37])
+    @pytest.mark.parametrize("alpha, r", [(0.5, R), (ALPHA, R), (1.5, R), (ALPHA, -0.3),
+                                          (1.5, 0.0)])
+    def test_channel_matrices_match(self, parity, beta, alpha, r):
+        # M = <basis_i|out_j>, S = <basis_i|basis_j>, H = <out_i|out_j> with
+        # out_s = sum_t w[s, t] S|t alpha>; every entry of these cases agrees
+        # to 3.0e-15 of its own size
+        chan = protocols.teleport_channel(alpha, r, protocols.IdealResource(parity), beta)
+        w, gram = branch_weights(alpha, math.exp(-2.0 * r), parity, chan.beta)
+        for got, ref in ((chan.overlap, gram @ w.T), (chan.basis_gram, gram),
+                         (chan.out_gram, w.conj() @ gram @ w.T)):
+            assert np.all(np.abs(got - ref) <= 5e-15 * np.abs(ref))
+
+
+def pipeline_teleport(p, resource, beta):
+    """Reference: the protocol as one pipeline run on the normalised two-term
+    signal, then (output, herald weight, fidelity) of the normalised result."""
+    sig = states.make_signal(p, mode="s")
+    raw = protocols._pipeline(sig, protocols.resource_state(resource, p), beta)
+    out = raw.normalized()
+    return out, norm_squared(raw), fidelity(relabel(sig, {"s": "2"}), out)
+
 
 class TestTeleportApprox:
     def test_equal_amplitudes_benchmark(self):
@@ -109,10 +138,11 @@ class TestTeleportApprox:
         assert out.fidelity_vs_signal == approx(1.0)
 
     def test_channel_matches_direct_teleport(self):
-        chan = protocols.teleport_channel(ALPHA, R, protocols.ApproxResource(2))
+        res = protocols.ApproxResource(2)
+        chan = protocols.teleport_channel(ALPHA, R, res)
         for a, b in [(1, 1), (1, -1), (0.7, 0.3j), (0.2, 1)]:
-            direct = protocols.teleport(signal(a, b), protocols.ApproxResource(2))
-            assert chan.fidelity(a, b) == approx(direct.fidelity_vs_signal, abs=1e-12)
+            fid = pipeline_teleport(signal(a, b), res, chan.beta)[2]
+            assert chan.fidelity(a, b) == approx(fid, abs=1e-12)
 
     def test_channel_refuses_vanishing_herald(self):
         # at alpha = 1e6 every heralded branch output underflows to zero
@@ -137,19 +167,23 @@ class TestTeleportOracle:
         assert abs(protocols.teleport(p, res).fidelity_vs_signal - direct) < 1e-7
 
     def test_output_is_the_normalised_pipeline_state(self):
-        p = signal(0.8, 0.3j)
-        res = protocols.ApproxResource(4)
-        beta = protocols.default_beta(p, res)
-        raw = protocols._pipeline(states.make_signal(p, mode="s"),
-                                  protocols.resource_state(res, p), beta)
-        out = protocols.teleport(p, res).output
-        ref = raw.normalized()
-        assert out.modes == ref.modes
-        for t, u in zip(out.terms, ref.terms, strict=True):
-            assert t.quad.tobytes() == u.quad.tobytes()
-            assert t.lin.tobytes() == u.lin.tobytes()
-            assert np.complex128(t.offset).tobytes() == np.complex128(u.offset).tobytes()
-            assert dict(t.poly) == dict(u.poly)
+        # teleport reads everything from the branch channel; it agrees with
+        # the pipeline run on the whole signal to the last bits
+        resources = [protocols.ApproxResource(n) for n in range(1, 33)] \
+            + [protocols.IdealResource("even"), protocols.IdealResource("odd")]
+        for res in resources:
+            n = res.n if isinstance(res, protocols.ApproxResource) else 2
+            p = signal(0.6, 0.8j * cmath.exp(1.1j), alpha=math.sqrt(n / 2))
+            for beta in (protocols.default_beta(p, res), 0.7):
+                out = protocols.teleport(p, res, beta)
+                ref, weight, fid = pipeline_teleport(p, res, beta)
+                assert out.output.modes == ref.modes
+                for t, u in zip(out.output.terms, ref.terms, strict=True):
+                    assert t.quad.tobytes() == u.quad.tobytes()
+                    assert t.lin.tobytes() == u.lin.tobytes()
+                assert 1.0 - fidelity(out.output, ref) <= 1e-14
+                assert abs(out.fidelity_vs_signal - fid) <= 1e-14
+                assert abs(out.herald_weight - weight) <= 1e-14 * weight
 
 
 class TestClosedForm:

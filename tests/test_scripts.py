@@ -35,8 +35,8 @@ def test_make_figure_data(child_env, tmp_path):
 # the golden-file rule of ROADMAP.md: CHANGES.md names the moved outputs and
 # shows the new ones are closer to an independent reference.
 OUTPUT_DIGEST = """\
-teleport 192 ade127172f5bda1eecc2819d962ac95f4a25c0bfe92fd69fd5c47bf8053f5100
-ideal_teleport 36 d49d5952660eef0b7f21fa4b1c8bc27bc326e52208d48b1a41abc1bee53435b5
+teleport 192 9d61c0e852ca596a6819ed2137e25eb570dbdc83f442ce5dfe3204d2a0415a02
+ideal_teleport 36 ed29baa710827078a516e791fe349ac2bd242cdda100aeb51f06d8a824447fca
 channel 76 43683547a012e0b9409da438ae29df46fa96c3b2b2691f3dac174e4e5ddcbbe6
 ideal_chain 190 7967eea4e318a21fe2cbb507cf139f78eefc6fa467cdd3584695932f8371c3eb
 ladder_chain 14 337e667821899d8039ffee5545e282959c9271bad4ffc9ce5d201a9357da8147

@@ -15,6 +15,7 @@ from cvcat.gausspoly import (
     inner_product,
     multiply,
     norm_squared,
+    perturb_first_moment,
     relabel,
     superpose,
 )
@@ -271,6 +272,19 @@ class TestFit:
                 alpha, -0.5 * math.log(g), "even"))
             assert val <= best + 1e-9
             best = max(best, val)
+
+    def test_fit_follows_the_first_moment_perturbation(self):
+        # a fit made under a perturbation is not served to unperturbed calls,
+        # nor an unperturbed one to perturbed calls, whichever comes first
+        with perturb_first_moment(1e-3):
+            perturbed = states.fit_effective_params(2)
+        plain = states.fit_effective_params(2)
+        with perturb_first_moment(1e-3):
+            again = states.fit_effective_params(2)
+        assert perturbed.alpha != plain.alpha
+        assert again == perturbed
+        assert plain.alpha == approx(1.6251120003, abs=1e-9)
+        assert perturbed.alpha == approx(1.6262646894, abs=1e-9)
 
     def test_requires_positive_n(self):
         with pytest.raises(UsageError):
