@@ -107,7 +107,7 @@ class TestTeleportIdealClosedForm:
     def test_channel_matrices_match(self, parity, beta, alpha, r):
         # M = <basis_i|out_j>, S = <basis_i|basis_j>, H = <out_i|out_j> with
         # out_s = sum_t w[s, t] S|t alpha>; every entry of these cases agrees
-        # to 3.0e-15 of its own size
+        # to 2.6e-15 of its own size
         chan = protocols.teleport_channel(alpha, r, protocols.IdealResource(parity), beta)
         w, gram = branch_weights(alpha, math.exp(-2.0 * r), parity, chan.beta)
         for got, ref in ((chan.overlap, gram @ w.T), (chan.basis_gram, gram),
