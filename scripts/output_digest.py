@@ -13,9 +13,9 @@ and after.  The families:
 * ``teleport``: ladder resources n = 1..32, three signals, beta auto and 0.7;
 * ``ideal_teleport``: even and odd ideal resources at alpha = 0.5, sqrt(1.3)
   and 1.5, the same signals and beta values;
-* ``channel``: the overlap, basis and output Gram matrices of
-  ``teleport_channel`` for the resources and beta values of the two teleport
-  families;
+* ``channel``: the resolved beta, the overlap matrix and the basis and
+  output Gram matrices of ``teleport_channel`` for the resources and beta
+  values of the two teleport families;
 * ``ideal_chain``: five-step ideal-cat amplify chains over the 16-alpha grid
   of ``perfbench``'s ``amplify_chain`` plus alpha = 0, 1.0 and 1.0 + 1e-12,
   at r = 0.4 and 0.4029;
