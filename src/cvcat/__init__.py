@@ -8,6 +8,7 @@ from .gausspoly import (
     GaussTerm,
     beam_splitter,
     condition_x,
+    dilate,
     fidelity,
     gaussian_moment_integral,
     hermite_gauss,
@@ -32,6 +33,7 @@ __all__ = [
     "GaussTerm",
     "beam_splitter",
     "condition_x",
+    "dilate",
     "fidelity",
     "gaussian_moment_integral",
     "hermite_gauss",

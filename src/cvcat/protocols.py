@@ -39,6 +39,7 @@ from .gausspoly import (
     _unit_scaled,
     beam_splitter,
     condition_x,
+    dilate,
     fidelity,
     inner_product,
     multiply,
@@ -484,11 +485,12 @@ def average_fidelity_both(resource: Resource, alpha: float, r: float,
 
 def _amplify_state(u: GaussPolyState) -> GaussPolyState:
     """Mix two copies on a balanced beam splitter, post-select x = 0 in the
-    second output arm, renormalise."""
-    pair = multiply(relabel(u, {u.modes[0]: "1"}), relabel(u, {u.modes[0]: "2"}))
-    pair = beam_splitter(pair, "1", "2")
-    out = condition_x(pair, "2", 0.0)
-    return out.normalized()
+    second output arm, renormalise.  The splitter sends u(x_1) u(x_2) to
+    u((x_1 - x_2)/sqrt2) u((x_1 + x_2)/sqrt2), so at x_2 = 0 the step is the
+    square of the dilated state w(x) = u(x/sqrt2), normalised: one 1-mode
+    product, with no two-mode state built."""
+    w = dilate(u, 1.0 / math.sqrt(2.0))
+    return multiply(w, w).normalized()
 
 
 def vacuum_overlap(alpha: float, r: float) -> float:

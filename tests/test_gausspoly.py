@@ -3,6 +3,7 @@ import math
 import pickle
 import threading
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from cvcat import (
     UsageError,
     beam_splitter,
     condition_x,
+    dilate,
     fidelity,
     gaussian_moment_integral,
     hermite_gauss,
@@ -153,6 +155,25 @@ class TestMultiply:
             multiply(u, v)
 
 
+class TestDilate:
+    def test_evaluates_the_state_at_scaled_points(self):
+        # largest deviation measured: 1.5e-15 of the peak
+        rng = np.random.default_rng(130)
+        xs = np.linspace(-6.0, 6.0, 241)
+        for _ in range(12):
+            u = oracle.random_gauss_poly(rng, 1)
+            for d in (1.0 / math.sqrt(2.0), 1.7, -0.6):
+                ref = u.evaluate(d * xs)
+                out = dilate(u, d)
+                assert out.modes == u.modes and len(out.terms) == len(u.terms)
+                assert np.max(np.abs(out.evaluate(xs) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("d", [0.0, math.inf, math.nan])
+    def test_rejects_zero_or_non_finite_factor(self, d):
+        with pytest.raises(UsageError):
+            dilate(hermite_gauss(1), d)
+
+
 # ---------------------------------------------------------------------------
 # inner products
 # ---------------------------------------------------------------------------
@@ -199,12 +220,13 @@ class TestInnerProduct:
 
     @pytest.mark.parametrize("n", range(24))
     def test_high_degree_hermite_norm(self, n):
-        # cancellation in the monomial basis: off 1 by -3.2e-7 at n = 23
+        # cancellation in the monomial basis: off 1 by 1.7e-11 at n = 23, and
+        # by -3.9e-8 where long double is plain double
         assert abs(norm_squared(hermite_gauss(n)) - 1.0) < 1e-6
 
     @pytest.mark.parametrize("n", [24, 40])
     def test_hermite_refuses_degrees_it_cannot_normalise(self, n):
-        # norm^2 - 1 would be 2.2e-6 at n = 24 and 62 at n = 40
+        # in double sums norm^2 - 1 would be 2.0e-6 at n = 26 and 0.16 at n = 40
         with pytest.raises(DomainError):
             hermite_gauss(n)
 
@@ -216,6 +238,39 @@ class TestInnerProduct:
         scale = math.sqrt(norm_squared(u) * norm_squared(v))
         assert inner_product(u, v) == approx(inner_product(v, u).conjugate(),
                                              rel=1e-10, abs=1e-12 * scale)
+
+
+class TestContract:
+    def test_no_caller_integrates_a_last_mode(self, monkeypatch):
+        seen = []
+        integrate = gausspoly._integrate_index
+
+        def recording(u, j):
+            seen.append(u.n_modes)
+            return integrate(u, j)
+
+        monkeypatch.setattr(gausspoly, "_integrate_index", recording)
+        rng = np.random.default_rng(140)
+        for m in (1, 2, 3):
+            u = oracle.random_gauss_poly(rng, m)
+            inner_product(u, oracle.random_gauss_poly(rng, m, modes=u.modes))
+            project_p(u, u.modes[0], 0.3)
+        gaussian_moment_integral(GaussianMomentSpec(1.0, 0.2, 3))
+        protocols.teleport(states.SignalParams(1, 1j, 1.1, 0.4), protocols.ApproxResource(2))
+        protocols.amplify_iterate(protocols.ApproxResource(2), 2)
+        assert seen and min(seen) >= 2
+
+    def test_degree_zero_reads_no_first_moment(self):
+        u = states.make_ideal_squeezed_cat(1.2, 0.4029)
+        v = states.make_squeezed_coherent(0.7, 0.1)
+        exact = inner_product(u, v), project_p(u, "x", 0.4)
+        with perturb_first_moment(1e-3):
+            assert (inner_product(u, v), project_p(u, "x", 0.4)) == exact
+
+    def test_empty_state_contracts_to_zero(self):
+        zero = GaussPolyState(("x",), ())
+        assert inner_product(zero, hermite_gauss(3)) == 0
+        assert project_p(zero, "x", 0.5) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -686,8 +741,70 @@ def reference_project_p(u, mode, beta):
 
 
 def reference_inner_product(u, v):
+    """The former route: build conj(u) * v and integrate every mode, the last
+    one down to a scalar."""
     w = pairwise_multiply_reference(reference_conj(u), reference_aligned(v, u.modes))
     for _ in range(w.n_modes):
+        w = reference_integrate(w, 0)
+    return w
+
+
+FLOAT_OPS = (complex, cmath.sqrt, cmath.exp, math.pi)
+MP_OPS = (mpmath.mpc, mpmath.sqrt, mpmath.exp, mpmath.pi)
+
+
+def reference_contract(u, v, ops=FLOAT_OPS):
+    """Per-pair reference of ``gausspoly._contract`` on two 1-mode states:
+    each term pair contributes sqrt(pi/A) exp(C + B^2/A) sum_k s_k E[x^k], with
+    s_k the sum of conj(c_p) c_q over p + q = k.  Returns the sum and the sum
+    of the contributions' absolute values, its scale.  ``MP_OPS`` runs it in
+    mpmath at the working precision."""
+    lift, sqrt, exp, pi = ops
+    total = scale = 0
+    for tu in u.terms:
+        for tv in v.terms:
+            a = (lift(tu.quad[0, 0]).conjugate() + lift(tv.quad[0, 0])) / 2
+            b = (lift(tu.lin[0]).conjugate() + lift(tv.lin[0])) / 2
+            c = lift(tu.offset).conjugate() + lift(tv.offset)
+            sums = {}
+            for (p,), cp in tu.poly.items():
+                for (q,), cq in tv.poly.items():
+                    sums[p + q] = sums.get(p + q, 0) + lift(cp).conjugate() * lift(cq)
+            moments = [lift(1), b / a]
+            for k in range(2, max(sums) + 1):
+                moments.append((2 * b * moments[k - 1] + (k - 1) * moments[k - 2]) / (2 * a))
+            front = sqrt(pi / a) * exp(c + b * b / a)
+            total += front * sum(moments[k] * sk for k, sk in sums.items())
+            scale += abs(front) * sum(abs(moments[k] * sk) for k, sk in sums.items())
+    return complex(total), float(scale)
+
+
+# Largest error measured over the seeded corpus below, in units of the
+# reference's absolute pair sum: 1.9e-16 against 40-digit mpmath and 5.5e-16
+# against the float reference, or 7.7e-16 and 6.6e-16 where long double is
+# plain double.
+CONTRACT_RTOL = 2e-15
+
+
+def assert_contracts_to(got, u, v, factor=1.0):
+    """``got`` is factor * contract(u, v) per the float reference and per a
+    40-digit evaluation of the same float states."""
+    ref, scale = reference_contract(u, v)
+    with mpmath.workdps(40):
+        exact, _ = reference_contract(u, v, MP_OPS)
+    tol = CONTRACT_RTOL * scale * abs(factor)
+    assert abs(got - factor * ref) <= tol
+    assert abs(got - factor * exact) <= tol
+
+
+ONE = GaussPolyState(("x",), [gaussian_term([0.0], [0.0])])
+
+
+def last_mode_of_product(u, v):
+    """conj(u) * v with every mode but its last integrated out, per the
+    references above (which match the engine bitwise)."""
+    w = pairwise_multiply_reference(reference_conj(u), reference_aligned(v, u.modes))
+    for _ in range(w.n_modes - 1):
         w = reference_integrate(w, 0)
     return w
 
@@ -726,11 +843,16 @@ class TestStackedOperationsMatchPerTermReferences:
                     assert quads_symmetric(out)
                 for beta in (0.0, -0.8):
                     out = project_p(u, mode, beta)
+                    if n_modes == 1:  # a contraction against the plane wave
+                        plane = GaussPolyState(("x",), [gaussian_term([0.0], [-1j * beta])])
+                        assert_contracts_to(out, plane, u, 1.0 / math.sqrt(2.0 * math.pi))
+                        continue
                     assert exact_bytes(out) == exact_bytes(reference_project_p(u, mode, beta))
                     assert quads_symmetric(out)
-                out = gausspoly._integrate_index(u, j)
-                assert exact_bytes(out) == exact_bytes(reference_integrate(u, j))
-                assert quads_symmetric(out)
+                if n_modes > 1:
+                    out = gausspoly._integrate_index(u, j)
+                    assert exact_bytes(out) == exact_bytes(reference_integrate(u, j))
+                    assert quads_symmetric(out)
 
     @pytest.mark.parametrize("n_modes", [2, 3])
     def test_beam_splitter(self, n_modes):
@@ -756,9 +878,14 @@ class TestStackedOperationsMatchPerTermReferences:
         samples = list(stacked_samples(n_modes, 100 + n_modes))
         for u, v in zip(samples, samples[1:] + samples[:1]):
             v = reference_aligned(v, u.modes[::-1])  # inner products realign v
-            assert exact_bytes(inner_product(u, v)) \
-                == exact_bytes(reference_inner_product(u, v))
-            shift = -0.5 * math.log(reference_inner_product(u, u).real)
+            got = inner_product(u, v)
+            if n_modes == 1:
+                assert_contracts_to(got, u, v)
+            else:  # the last mode is contracted against the constant 1
+                assert_contracts_to(got, ONE, last_mode_of_product(u, v))
+            scale = math.sqrt(norm_squared(u) * norm_squared(v))
+            assert abs(got - reference_inner_product(u, v)) <= 1e-14 * scale
+            shift = -0.5 * math.log(inner_product(u, u).real)
             ref = GaussPolyState(u.modes, [GaussTerm(t.poly, t.quad, t.lin, t.offset + shift)
                                            for t in u.terms])
             assert exact_bytes(u.normalized()) == exact_bytes(ref)

@@ -35,12 +35,12 @@ def test_make_figure_data(child_env, tmp_path):
 # the golden-file rule of ROADMAP.md: CHANGES.md names the moved outputs and
 # shows the new ones are closer to an independent reference.
 OUTPUT_DIGEST = """\
-teleport 192 9d61c0e852ca596a6819ed2137e25eb570dbdc83f442ce5dfe3204d2a0415a02
-ideal_teleport 36 ed29baa710827078a516e791fe349ac2bd242cdda100aeb51f06d8a824447fca
-channel 76 43683547a012e0b9409da438ae29df46fa96c3b2b2691f3dac174e4e5ddcbbe6
-ideal_chain 190 7967eea4e318a21fe2cbb507cf139f78eefc6fa467cdd3584695932f8371c3eb
-ladder_chain 14 337e667821899d8039ffee5545e282959c9271bad4ffc9ce5d201a9357da8147
-operations 174 f39c9ae9aa66411d452107d92115fcadaaa8a9faf156c70a0400c17ddccff19c
+teleport 192 0c6dd2cafadfc0a3ae22e17ce77f4eb186edf6d698997549a911dd6d5aa0ac59
+ideal_teleport 36 b87e94aa4fa6014ba34eef1eaba238fca16977c90a4a8e9579622d85d22ea678
+channel 76 adb1e9ea8f92a521cb9c19fc68d94a53ba63906cdff2dfdab050a56e3fd5520c
+ideal_chain 190 4605b67ca945c64b00f1d7e062c68f6665071cf6af24b85fab98feb192943e7f
+ladder_chain 14 0fae019c55c144474ac4879dee171619d148d1f46dc472763066e91bc203765e
+operations 174 5082ca9c893c68fa8c8949d5381f1f925870ade54fe9b1a8d9cd1a36f5e80b5c
 """
 
 
