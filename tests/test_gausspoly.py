@@ -226,7 +226,8 @@ class TestInnerProduct:
 
     @pytest.mark.parametrize("n", [24, 40])
     def test_hermite_refuses_degrees_it_cannot_normalise(self, n):
-        # in double sums norm^2 - 1 would be 2.0e-6 at n = 26 and 0.16 at n = 40
+        # refused on every platform: where long double is plain double,
+        # norm^2 - 1 would reach 2.0e-6 at n = 26 and 0.16 at n = 40
         with pytest.raises(DomainError):
             hermite_gauss(n)
 
