@@ -7,8 +7,10 @@ plane-wave kernel exp(i beta x_s).  The surviving mode 2 is the teleported
 state.  With the even two-mode resource the matching projection value is
 beta = 0; with the odd resource (or an odd-excitation approximate resource)
 it is beta = pi / (4 alpha sqrt(g)).  The pipeline is linear in the signal,
-so it runs once per branch S|+-alpha> (``teleport_channel``), and every
-teleport number, ``teleport``'s too, comes from the two branch outputs.
+so every teleport number, ``teleport``'s too, comes from the two branch
+outputs for S|+-alpha> (``teleport_channel``).  It runs once, for S|+alpha>:
+the branches are mirror images under x -> -x, every resource has a parity
+under that reflection, and the S|-alpha> output is the mirror of the first.
 
 The approximate resource replaces the ideal even cat of amplitude
 sqrt(2)*alpha entering the resource beam splitter by the ladder state
@@ -33,6 +35,7 @@ from .errors import CapacityError, DomainError, UsageError
 from .gausspoly import (
     GaussPolyState,
     GaussTerm,
+    _conj_state,
     _moment_polys,
     _poly_add,
     _poly_mul,
@@ -125,12 +128,24 @@ class AmplifyOutcome:
 # pipeline
 # ---------------------------------------------------------------------------
 
+def _parity(resource: Resource) -> int:
+    """Sign p of the resource state under the reflection x -> -x of both
+    modes, res(-x_1, -x_2) = p res(x_1, x_2): +1 for the even ideal resource
+    and the identity resource, -1 for the odd one and (-1)^n for the ladder
+    resource of excitation n."""
+    if isinstance(resource, IdealResource):
+        return 1 if resource.parity == "even" else -1
+    if isinstance(resource, ApproxResource):
+        return -1 if resource.n % 2 else 1
+    if isinstance(resource, IdentityResource):
+        return 1
+    raise UsageError(f"unsupported resource {resource!r}")
+
+
 def default_beta(signal: SignalParams, resource: Resource) -> float:
     """Projection value matched to the resource parity: 0 for even,
     pi/(4 alpha sqrt(g)) for odd."""
-    odd = (isinstance(resource, IdealResource) and resource.parity == "odd") or \
-        (isinstance(resource, ApproxResource) and resource.n % 2 == 1)
-    if not odd:
+    if _parity(resource) > 0:
         return 0.0
     return math.pi / (4.0 * signal.alpha * math.sqrt(signal.g))
 
@@ -143,8 +158,7 @@ def resource_state(resource: Resource, signal: SignalParams) -> GaussPolyState:
         pairs = [multiply(make_squeezed_coherent(s * signal.alpha, signal.r, "1"),
                           make_squeezed_coherent(s * signal.alpha, signal.r, "2"))
                  for s in (1.0, -1.0)]
-        sign = 1.0 if resource.parity == "even" else -1.0
-        return superpose(pairs, [1.0, sign]).normalized()
+        return superpose(pairs, [1.0, float(_parity(resource))]).normalized()
     if isinstance(resource, ApproxResource):
         if not 0 <= resource.n <= MAX_EXCITATION:
             raise UsageError(f"resource excitation must lie in 0..{MAX_EXCITATION}")
@@ -181,9 +195,10 @@ def teleport(signal: SignalParams, resource: Resource,
 class TeleportChannel:
     """Teleportation reduced to its two branch outputs and 2x2 Gram matrices.
 
-    The pipeline is linear in the signal, so running it once per basis branch
-    S(r)|alpha> and S(r)|-alpha> determines, for every v = (a, b), the output
-    a * outputs[0] + b * outputs[1], its herald weight
+    The pipeline is linear in the signal, so its outputs for the basis
+    branches S(r)|alpha> and S(r)|-alpha> (the second one the mirror image of
+    the first, see ``teleport_channel``) determine, for every v = (a, b), the
+    output a * outputs[0] + b * outputs[1], its herald weight
     (v* . out_gram . v) / (v* . basis_gram . v) and its fidelity
 
         F(a, b) = |v* . overlap . v|^2 / ((v* . basis_gram . v)(v* . out_gram . v)).
@@ -224,23 +239,47 @@ class TeleportChannel:
         return float(self.fidelity_grid(np.array(a), np.array(b)))
 
 
+def _mirrored(u: GaussPolyState, parity: int) -> GaussPolyState:
+    """parity * conj(u(-x)) for a 1-mode state.  Adding 0j maps the -0.0
+    parts that the sign flips leave back to +0.0."""
+    w = _conj_state(dilate(u, -1.0))
+    polys = [{e: parity * c + 0j for e, c in poly.items()} for poly in w._polys]
+    return GaussPolyState._from_parts(w.modes, w._quads + 0j, w._lins + 0j,
+                                      w._offsets + 0j, polys)
+
+
 def teleport_channel(alpha: float, r: float, resource: Resource,
                      beta: float | None = None) -> TeleportChannel:
-    """Precompute the branch outputs and channel matrices in the (alpha, r) basis."""
+    """Precompute the branch outputs and channel matrices in the (alpha, r) basis.
+
+    Only the branch S|alpha> runs through the pipeline.  The branches are
+    mirror images, b_-(x) = b_+(-x), and the resource has a parity,
+    res(-x_1, -x_2) = p res(x_1, x_2) (``_parity``); the beam splitter and
+    x_1 = 0 commute with the reflection, which conjugates the kernel
+    exp(i beta x_s).  So o_-(x) = p conj(o_+(-x)), and with real branches
+    M_01 = p conj(M_10), M_11 = p conj(M_00), S_11 = S_00, S_10 = conj(S_01),
+    H_11 = H_00 and H_10 = conj(H_01): six inner products fill the three
+    matrices.  A non-finite beta raises UsageError.
+    """
     probe = SignalParams(1.0, 0.0, alpha, r)
     if beta is None:
         beta = default_beta(probe, resource)
-    branches = [make_squeezed_coherent(s * alpha, r, "s") for s in (1.0, -1.0)]
-    basis = [relabel(b, {"s": "2"}) for b in branches]
+    elif not math.isfinite(beta):
+        raise UsageError("projection value beta must be finite")
+    p = _parity(resource)
+    basis = [make_squeezed_coherent(s * alpha, r, "2") for s in (1.0, -1.0)]
     if isinstance(resource, IdentityResource):
-        outs = basis
+        out = basis[0]
     else:
-        res = resource_state(resource, probe)
-        outs = [_pipeline(b, res, beta) for b in branches]
-    m = np.array([[inner_product(bi, oj) for oj in outs] for bi in basis])
-    s = np.array([[inner_product(bi, bj) for bj in basis] for bi in basis])
-    h = np.array([[inner_product(oi, oj) for oj in outs] for oi in outs])
-    return TeleportChannel(alpha, r, beta, m, s, h, tuple(outs))
+        out = _pipeline(relabel(basis[0], {"2": "s"}), resource_state(resource, probe), beta)
+    outs = (out, _mirrored(out, p))
+    m00, m10 = (inner_product(b, out) for b in basis)
+    s00, s01 = (inner_product(basis[0], b) for b in basis)
+    h00, h01 = (inner_product(out, o) for o in outs)
+    m = np.array([[m00, p * m10.conjugate()], [m10, p * m00.conjugate()]])
+    s = np.array([[s00, s01], [s01.conjugate() + 0j, s00]])  # S_01 is real: keep +0.0j
+    h = np.array([[h00, h01], [h01.conjugate(), h00]])
+    return TeleportChannel(alpha, r, beta, m, s, h, outs)
 
 
 # ---------------------------------------------------------------------------
@@ -450,12 +489,10 @@ def _sphere_average(chan: TeleportChannel, n_theta: int, n_phi: int,
     return float((weights[:, None] * f).sum() / n_phi / 2.0)
 
 
-def average_fidelity(resource: Resource, alpha: float, r: float,
-                     quadrature: BlochQuadrature = BlochQuadrature(),
-                     parametrization: Parametrization = "half-angle",
-                     beta: float | None = None) -> AveragedFidelity:
-    """Signal-sphere average of the teleport fidelity, converged by doubling."""
-    chan = teleport_channel(alpha, r, resource, beta)
+def _converged_average(chan: TeleportChannel, quadrature: BlochQuadrature,
+                       parametrization: Parametrization) -> AveragedFidelity:
+    """Sphere average of one channel's fidelity, doubling the grid until it
+    moves by less than the quadrature's tolerance."""
     nt, nph = quadrature.n_theta, quadrature.n_phi
     history = [_sphere_average(chan, nt, nph, parametrization)]
     for _ in range(quadrature.max_doublings):
@@ -471,12 +508,22 @@ def average_fidelity(resource: Resource, alpha: float, r: float,
         f"{quadrature.max_doublings} doublings; history {history}")
 
 
+def average_fidelity(resource: Resource, alpha: float, r: float,
+                     quadrature: BlochQuadrature = BlochQuadrature(),
+                     parametrization: Parametrization = "half-angle",
+                     beta: float | None = None) -> AveragedFidelity:
+    """Signal-sphere average of the teleport fidelity, converged by doubling."""
+    return _converged_average(teleport_channel(alpha, r, resource, beta), quadrature,
+                              parametrization)
+
+
 def average_fidelity_both(resource: Resource, alpha: float, r: float,
                           quadrature: BlochQuadrature = BlochQuadrature(),
                           beta: float | None = None) -> dict[str, AveragedFidelity]:
-    """The spherical average under both implemented parametrizations."""
-    return {p: average_fidelity(resource, alpha, r, quadrature, p, beta)
-            for p in PARAMETRIZATIONS}
+    """The spherical average under both implemented parametrizations, from
+    one channel."""
+    chan = teleport_channel(alpha, r, resource, beta)
+    return {p: _converged_average(chan, quadrature, p) for p in PARAMETRIZATIONS}
 
 
 # ---------------------------------------------------------------------------

@@ -230,6 +230,25 @@ def _closed_form_checks() -> list[Check]:
     return [_check("closed-form-vs-pipeline", worst, 1e-8)]
 
 
+def _one_step_branch_fidelity(alpha: float) -> float:
+    """Fidelity of one amplify step of the squeezed even cat of amplitude
+    alpha with its target, from coherent branches (squeezing cancels).  The
+    step maps S|q alpha> x S|q' alpha> to exp(-(q - q')^2 alpha^2 / 2)
+    S|(q + q') alpha/sqrt2>, so the output has branches q = 2, 0, -2 with
+    weights 1, 2 exp(-2 alpha^2), 1, against the target branches q = +-2;
+    branches q and q' overlap as exp(-(q - q')^2 alpha^2 / 4)."""
+    weights = {2: 1.0, 0: 2.0 * math.exp(-2.0 * alpha * alpha), -2: 1.0}
+
+    def overlap(q: int, q2: int) -> float:
+        return math.exp(-(q - q2) ** 2 * alpha * alpha / 4.0)
+
+    norm = sum(wi * wj * overlap(qi, qj) for qi, wi in weights.items()
+               for qj, wj in weights.items())
+    t_norm = sum(overlap(qi, qj) for qi in (2, -2) for qj in (2, -2))
+    cross = sum(wi * overlap(qi, qt) for qi, wi in weights.items() for qt in (2, -2))
+    return cross * cross / (norm * t_norm)
+
+
 def _amplify_checks() -> list[Check]:
     out = []
     worst = 0.0
@@ -239,8 +258,8 @@ def _amplify_checks() -> list[Check]:
     out.append(_check("amplify-ladder-doubling", worst, 1e-10))
 
     golden = protocols.amplify(protocols.IdealCat(1.5, BENCHMARK_R)).fidelity_vs_target
-    out.append(_check("amplify-ideal-regression", abs(golden - 0.9997598770722356), 1e-9,
-                      f"value={golden:.12f}"))
+    out.append(_check("amplify-ideal-regression", abs(golden - _one_step_branch_fidelity(1.5)),
+                      1e-9, f"value={golden:.12f}"))
 
     seq = protocols.amplify_iterate(protocols.IdealCat(0.3, BENCHMARK_R), 3)
     fids = [o.fidelity_vs_target for o in seq]

@@ -224,6 +224,8 @@ class TestCliPlumbing:
         ["avg-fidelity", "--tol", "nan"],
         ["fidelity-map", "--alpha", "nan", "--grid", "2x2"],
         ["fidelity-map", "--r", "nan", "--grid", "2x2"],
+        ["fidelity-map", "--beta", "nan", "--grid", "2x2"],
+        ["fidelity-map", "--beta", "inf", "--grid", "2x2"],
         ["amplify", "--alpha-range", "-1,-1,1", "--steps", "2"],
         ["truncation", "--r", "inf"],
         ["truncation", "--r", "400"],
@@ -239,7 +241,8 @@ class TestCliPlumbing:
         ["truncation", "--alpha-range", "0,40,2"],
     ], ids=["truncation-count-0", "amplify-count-0", "avg-grid-0x4", "avg-grid--2x4",
             "avg-grid-4x0", "validate-trials-0", "validate-trials--1", "avg-tol-0",
-            "avg-tol--1", "avg-tol-nan", "map-alpha-nan", "map-r-nan", "amplify-alpha--1",
+            "avg-tol--1", "avg-tol-nan", "map-alpha-nan", "map-r-nan", "map-beta-nan",
+            "map-beta-inf", "amplify-alpha--1",
             "truncation-r-inf", "truncation-r-400", "truncation-r--400", "truncation-r-nan",
             "truncation-alpha-nan", "map-r-400", "map-r--400", "amplify-r-400",
             "amplify-r--400", "avg-r-400", "avg-r--400", "truncation-alpha-40"])

@@ -11,6 +11,7 @@ from cvcat.gausspoly import (
     beam_splitter,
     condition_x,
     fidelity,
+    inner_product,
     multiply,
     norm_squared,
     relabel,
@@ -193,6 +194,119 @@ class TestTeleportOracle:
                 assert abs(out.herald_weight - weight) <= 1e-14 * weight
 
 
+def two_branch_channel(alpha, r, resource, beta):
+    """Reference: the channel with the pipeline run once per branch and all
+    twelve inner products taken.  Returns (beta, M, S, H, branch outputs)."""
+    probe = states.SignalParams(1.0, 0.0, alpha, r)
+    if beta is None:
+        beta = protocols.default_beta(probe, resource)
+    branches = [states.make_squeezed_coherent(s * alpha, r, "s") for s in (1.0, -1.0)]
+    basis = [relabel(b, {"s": "2"}) for b in branches]
+    if isinstance(resource, protocols.IdentityResource):
+        outs = basis
+    else:
+        res = protocols.resource_state(resource, probe)
+        outs = [protocols._pipeline(b, res, beta) for b in branches]
+    m = np.array([[inner_product(bi, oj) for oj in outs] for bi in basis])
+    s = np.array([[inner_product(bi, bj) for bj in basis] for bi in basis])
+    h = np.array([[inner_product(oi, oj) for oj in outs] for oi in outs])
+    return beta, m, s, h, outs
+
+
+def term_bytes(u):
+    """Each term of a state as the bytes of its Q, L, offset and sorted
+    coefficients, every number as a complex double."""
+    return [b"".join([q.tobytes(), lin.tobytes(), np.complex128(off).tobytes()]
+                     + [repr(e).encode() + np.complex128(c).tobytes()
+                        for e, c in sorted(poly.items())])
+            for poly, q, lin, off in zip(u._polys, u._quads, u._lins, u._offsets)]
+
+
+LADDER_MIRROR_CASES = [(math.sqrt(max(n, 1) / 2), R, protocols.ApproxResource(n), beta)
+                       for n in range(33) for beta in (None, 0.7)]
+IDEAL_MIRROR_CASES = [(alpha, r, protocols.IdealResource(parity), beta)
+                      for parity in ("even", "odd") for r in (R, 0.0, -0.3)
+                      for alpha, beta in ((ALPHA, None), (1.5, 0.37))]
+IDENTITY_MIRROR_CASES = [(ALPHA, R, protocols.IdentityResource(), None)]
+
+# |Im H_ij - Im H_ij(reference)| <= 6.4e-20 |H_ij| over these cases with the
+# extended-precision sums of x86-64: H_11 = H_00 and H_10 = conj(H_01) differ
+# from the contractions <o_-|o_-> and <o_-|o_+> only in their rounding residue
+H_IMAG_RTOL = 2.0 * float(np.finfo(np.longdouble).eps)
+
+PARITY_CASES = [protocols.IdealResource("even"), protocols.IdealResource("odd"),
+                *(protocols.ApproxResource(n) for n in (0, 1, 2, 3, 8, 17)),
+                protocols.IdentityResource()]
+
+
+class TestMirroredBranch:
+    """``teleport_channel`` runs the pipeline for S|alpha> only and takes the
+    other branch output and half of the matrix entries from the resource's
+    parity under x -> -x."""
+
+    @pytest.mark.parametrize("alpha, r, resource, beta",
+                             LADDER_MIRROR_CASES + IDEAL_MIRROR_CASES + IDENTITY_MIRROR_CASES)
+    def test_matches_the_two_branch_channel(self, alpha, r, resource, beta):
+        ref_beta, m, s, h, outs = two_branch_channel(alpha, r, resource, beta)
+        chan = protocols.teleport_channel(alpha, r, resource, beta)
+        assert chan.beta == ref_beta
+        assert chan.overlap.tobytes() == m.tobytes()
+        assert chan.basis_gram.tobytes() == s.tobytes()
+        assert chan.out_gram.real.tobytes() == h.real.tobytes()
+        assert np.all(np.abs(chan.out_gram.imag - h.imag) <= H_IMAG_RTOL * np.abs(h))
+        assert term_bytes(chan.outputs[0]) == term_bytes(outs[0])
+        if isinstance(resource, protocols.IdealResource):
+            # the mirror lists the two coherent terms in the other order
+            assert sorted(term_bytes(chan.outputs[1])) == sorted(term_bytes(outs[1]))
+        else:
+            assert term_bytes(chan.outputs[1]) == term_bytes(outs[1])
+
+    @pytest.mark.parametrize("resource", PARITY_CASES, ids=repr)
+    def test_resource_has_its_parity(self, resource):
+        # res(-x1, -x2) = p res(x1, x2); the identity resource passes the
+        # signal on, so its branches must be mirror images
+        p = signal(1, 0)
+        x1, x2 = np.meshgrid(np.linspace(-3.1, 2.9, 13), np.linspace(-2.7, 3.3, 11))
+        if isinstance(resource, protocols.IdentityResource):
+            plus = states.make_squeezed_coherent(ALPHA, R, "2")
+            minus = states.make_squeezed_coherent(-ALPHA, R, "2")
+            got, want = minus.evaluate(x1), plus.evaluate(-x1)
+        else:
+            res = protocols.resource_state(resource, p)
+            got = res.evaluate(-x1, -x2)
+            want = protocols._parity(resource) * res.evaluate(x1, x2)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_every_resource_kind_has_a_parity_case(self):
+        assert {type(res) for res in PARITY_CASES} == set(protocols.Resource.__args__)
+
+    @pytest.mark.parametrize("resource", [protocols.ApproxResource(2),
+                                          protocols.IdealResource("odd")], ids=repr)
+    def test_one_pipeline_run_and_six_inner_products(self, monkeypatch, resource):
+        calls = {"pipeline": 0, "inner": 0}
+        pipeline, inner = protocols._pipeline, protocols.inner_product
+
+        def counted_pipeline(*args):
+            calls["pipeline"] += 1
+            return pipeline(*args)
+
+        def counted_inner(*args):
+            calls["inner"] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(protocols, "_pipeline", counted_pipeline)
+        monkeypatch.setattr(protocols, "inner_product", counted_inner)
+        protocols.teleport_channel(ALPHA, R, resource)
+        assert calls == {"pipeline": 1, "inner": 6}
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_beta_is_a_usage_error(self, beta):
+        with pytest.raises(UsageError, match="beta"):
+            protocols.teleport_channel(ALPHA, R, protocols.ApproxResource(2), beta)
+        with pytest.raises(UsageError, match="beta"):
+            protocols.teleport(signal(1, 0), protocols.IdealResource("even"), beta)
+
+
 class TestClosedForm:
     def test_vacuum_resource_single_term(self):
         state = protocols.output_closed_form(signal(1, 0), 0, 0.0)
@@ -342,6 +456,22 @@ class TestAverageFidelity:
         # ideal and approximate resources give nearly the same average
         ideal = protocols.average_fidelity(protocols.IdealResource("even"), ALPHA, R)
         assert abs(ideal.value - both["half-angle"].value) < 2e-4
+
+    def test_both_parametrizations_share_one_channel(self, monkeypatch):
+        calls = []
+        channel = protocols.teleport_channel
+
+        def counted(*args):
+            calls.append(args)
+            return channel(*args)
+
+        monkeypatch.setattr(protocols, "teleport_channel", counted)
+        both = protocols.average_fidelity_both(protocols.ApproxResource(2), ALPHA, R)
+        assert len(calls) == 1
+        for p, avg in both.items():
+            ref = protocols.average_fidelity(protocols.ApproxResource(2), ALPHA, R,
+                                             parametrization=p)
+            assert avg == ref
 
     def test_non_convergence_raises(self):
         quad = protocols.BlochQuadrature(8, 16, tol=0.0, max_doublings=1)

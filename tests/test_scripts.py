@@ -37,7 +37,7 @@ def test_make_figure_data(child_env, tmp_path):
 OUTPUT_DIGEST = """\
 teleport 192 0c6dd2cafadfc0a3ae22e17ce77f4eb186edf6d698997549a911dd6d5aa0ac59
 ideal_teleport 36 b87e94aa4fa6014ba34eef1eaba238fca16977c90a4a8e9579622d85d22ea678
-channel 76 adb1e9ea8f92a521cb9c19fc68d94a53ba63906cdff2dfdab050a56e3fd5520c
+channel 76 90a57f04d790a5459c1da25388d8bd01152d9ec19ffbad5365339eb457a839e7
 ideal_chain 190 4605b67ca945c64b00f1d7e062c68f6665071cf6af24b85fab98feb192943e7f
 ladder_chain 14 0fae019c55c144474ac4879dee171619d148d1f46dc472763066e91bc203765e
 operations 174 5082ca9c893c68fa8c8949d5381f1f925870ade54fe9b1a8d9cd1a36f5e80b5c
