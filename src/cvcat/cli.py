@@ -111,6 +111,18 @@ def _guard(fn: Callable) -> Callable:
     return wrapper
 
 
+def _spot_fidelity(u, v) -> float:
+    """Quadrature fidelity of two states, for an --oracle spot check."""
+    grid = oracle.GridSpec()
+    return oracle.quad_fidelity(oracle.sample(u, grid), oracle.sample(v, grid), grid)
+
+
+def _spot_check(where: dict, engine: float, quadrature: float) -> dict:
+    """The --oracle record: where it was taken, both values and their gap."""
+    return {**where, "engine": engine, "quadrature": quadrature,
+            "difference": abs(engine - quadrature)}
+
+
 def _resource_from_flags(resource: str, n: int, parity: str) -> protocols.Resource:
     if resource == "ideal":
         return protocols.IdealResource(parity)  # type: ignore[arg-type]
@@ -146,10 +158,6 @@ def truncation(alpha_range, r, fmt, use_oracle, out):
     alphas = _parse_range(alpha_range)
     g = states.squeezing_g(r, UsageError)
     fock.even_cat_cosh(max(alphas, key=abs), UsageError)
-    if use_oracle:
-        grid = oracle.GridSpec()
-        levels = [oracle.sample(hermite_gauss(k), grid) for k in (0, 2)]
-
     rows = []
     for alpha in alphas:
         vec = fock.even_cat_fock(alpha, fock.DEFAULT_DIM)
@@ -161,9 +169,8 @@ def truncation(alpha_range, r, fmt, use_oracle, out):
             "F_squeezed_alt": fock.squeezed_trunc02_closed_form_alt(alpha, g),
         }
         if use_oracle:
-            cat_vals = oracle.sample(states.make_ideal_squeezed_cat(alpha, r, "even"), grid)
-            row["F_squeezed_oracle"] = sum(oracle.quad_fidelity(h, cat_vals, grid)
-                                           for h in levels)
+            cat = states.make_ideal_squeezed_cat(alpha, r, "even")
+            row["F_squeezed_oracle"] = sum(_spot_fidelity(hermite_gauss(k), cat) for k in (0, 2))
         rows.append(row)
     columns = list(rows[0].keys())
     meta = _meta("truncation", {
@@ -202,15 +209,12 @@ def fidelity_map(resource, parity, n, alpha, r, beta, grid, fmt, use_oracle, out
     extra = {"bloch_parametrization": "a = cos(theta), b = exp(i phi) sin(theta)"}
     if use_oracle and resource == "approx":
         p = states.SignalParams(math.cos(math.pi / 4), math.sin(math.pi / 4), alpha, r)
-        used_beta = beta if beta is not None else protocols.default_beta(p, res)
-        engine = protocols.teleport(p, res, beta=used_beta).fidelity_vs_signal
+        chan = protocols.teleport_channel(alpha, r, res, beta)
         grid = oracle.GridSpec()
         direct = oracle.quad_fidelity(oracle.sample(states.make_signal(p), grid),
-                                      oracle.quad_teleport(p, n, used_beta, grid), grid)
-        extra["oracle_spot_check"] = {
-            "theta": math.pi / 4, "phi": 0.0,
-            "engine": engine, "quadrature": direct, "difference": abs(engine - direct),
-        }
+                                      oracle.quad_teleport(p, n, chan.beta, grid), grid)
+        extra["oracle_spot_check"] = _spot_check({"theta": math.pi / 4, "phi": 0.0},
+                                                 chan.fidelity(p.a, p.b), direct)
     elif use_oracle:
         extra["oracle_spot_check"] = "only available for the approx resource"
     meta = _meta("fidelity-map", {
@@ -286,9 +290,10 @@ def amplify(kind, alpha_range, r, n, steps, fmt, use_oracle, out):
 
     if kind == "ideal":
         alphas = _parse_range(alpha_range)
-        rows = []
+        rows, firsts = [], []
         for alpha in map(float, alphas):
             seq = protocols.amplify_iterate(protocols.IdealCat(alpha, r), steps)
+            firsts.append(seq[0])
             rows += [{"alpha": alpha, "step": k + 1, "fidelity": o.fidelity_vs_target,
                       "spurious": protocols.amplification_spurious(alpha * 2.0 ** (k / 2.0), r)}
                      for k, o in enumerate(seq)]
@@ -297,17 +302,10 @@ def amplify(kind, alpha_range, r, n, steps, fmt, use_oracle, out):
                   f"{alphas[0]:.17g},{alphas[-1]:.17g},{len(alphas)}",
                   "r": r, "steps": steps}
         if use_oracle:
-            mid = float(alphas[len(alphas) // 2])
-            outcome = protocols.amplify(protocols.IdealCat(mid, r))
-            grid = oracle.GridSpec()
+            mid, outcome = float(alphas[len(alphas) // 2]), firsts[len(alphas) // 2]
             target = states.make_ideal_squeezed_cat(math.sqrt(2) * mid, r, "even", "1")
-            direct = oracle.quad_fidelity(oracle.sample(target, grid),
-                                          oracle.sample(outcome.output, grid), grid)
-            extra["oracle_spot_check"] = {
-                "alpha": mid, "engine": outcome.fidelity_vs_target,
-                "quadrature": direct,
-                "difference": abs(outcome.fidelity_vs_target - direct),
-            }
+            extra["oracle_spot_check"] = _spot_check(
+                {"alpha": mid}, outcome.fidelity_vs_target, _spot_fidelity(target, outcome.output))
     else:
         seq = protocols.amplify_iterate(protocols.ApproxResource(n), steps)
         rows = []

@@ -112,7 +112,9 @@ def _row_edges(rows: int, row_points: int) -> list[int]:
     return edges
 
 
-def _trapz_weights(n: int, step: float) -> np.ndarray:
+def trapezoid_weights(n: int, step: float) -> np.ndarray:
+    """The oracle's one rule, composite trapezoidal weights on n points spaced
+    ``step`` apart: ``samples @ trapezoid_weights(n, step)`` integrates."""
     w = np.full(n, step)
     w[0] = w[-1] = step / 2.0
     return w
@@ -138,7 +140,7 @@ def quad_inner(u_samples: np.ndarray, v_samples: np.ndarray, grid: GridSpec) -> 
 
     def integrate(arr: np.ndarray, step: float) -> complex:
         for _ in range(arr.ndim):
-            w = _trapz_weights(arr.shape[-1], step)
+            w = trapezoid_weights(arr.shape[-1], step)
             arr = arr @ w
         return complex(arr)
 
@@ -203,7 +205,7 @@ def quad_teleport(signal: SignalParams, n: int, beta: float, grid: GridSpec,
     t = ts[None, :]
     phase = np.exp(1j * beta * t)
     sig_t = sig.evaluate(t / math.sqrt(2.0))
-    w = _trapz_weights(ts.size, grid.step)
+    w = trapezoid_weights(ts.size, grid.step)
     out = np.empty(xs.size, dtype=complex)
     edges = _row_edges(xs.size, ts.size)
     for lo, hi in zip(edges[:-1], edges[1:]):

@@ -37,6 +37,8 @@ BENCHMARK_ALPHA_EFF = math.sqrt(2.6)
 BENCHMARK_R = 0.4029
 BENCHMARK_G = math.exp(-2.0 * BENCHMARK_R)
 SIGNAL_ALPHA = BENCHMARK_ALPHA_EFF / math.sqrt(2.0)
+#: Projection value pi/(4 alpha sqrt(g)) matched to an odd resource, beta*.
+_BENCHMARK_BETA = math.pi / (4.0 * SIGNAL_ALPHA * math.sqrt(BENCHMARK_G))
 
 #: Reference values the benchmark suite reproduces, with acceptance bands.
 REFERENCES = {
@@ -80,13 +82,13 @@ def _check(name: str, margin: float, tol: float, detail: str = "") -> Check:
 def _moment_checks() -> list[Check]:
     out = []
     cases = [(1.0, 0.5, 2), (1.3 - 0.4j, 0.2 + 0.7j, 5), (0.7, -1.1, 8)]
-    grid = oracle.GridSpec(-12.0, 12.0, 4096)
+    grid = oracle.GridSpec()
     x = grid.axis()
     worst = 0.0
     for a, b, k in cases:
         val = gaussian_moment_integral(GaussianMomentSpec(a, b, k))
         f = x ** k * np.exp(-a * x * x + 2 * b * x)
-        worst = max(worst, abs(val - oracle.quad_inner(np.ones_like(f), f, grid).value) / abs(val))
+        worst = max(worst, abs(val - f @ oracle.trapezoid_weights(x.size, grid.step)) / abs(val))
     out.append(_check("moment-vs-quadrature", worst, 1e-10))
 
     worst = 0.0
@@ -216,10 +218,9 @@ def _teleport_checks() -> list[Check]:
 
 
 def _closed_form_checks() -> list[Check]:
-    alpha, r, g = SIGNAL_ALPHA, BENCHMARK_R, BENCHMARK_G
-    beta_star = math.pi / (4.0 * alpha * math.sqrt(g))
+    alpha, r = SIGNAL_ALPHA, BENCHMARK_R
     worst = 0.0
-    for beta in (0.0, beta_star):
+    for beta in (0.0, _BENCHMARK_BETA):
         for theta in np.linspace(0.2, 1.4, 3):
             for phi in np.linspace(0.0, 5.0, 3):
                 p = states.SignalParams(math.cos(theta),
@@ -302,7 +303,7 @@ def _oracle_corpus_checks(seed: int, trials: int) -> list[Check]:
 
         beta = float(rng.uniform(-1.5, 1.5))
         proj = project_p(u, u.modes[0], beta)
-        w = oracle._trapz_weights(axis.size, grid.step)
+        w = oracle.trapezoid_weights(axis.size, grid.step)
         kernel = np.exp(1j * beta * axis) / math.sqrt(2.0 * math.pi)
         if n_modes == 2:
             direct = (kernel * w) @ su
@@ -321,17 +322,15 @@ def _oracle_corpus_checks(seed: int, trials: int) -> list[Check]:
 
 
 def _teleport_quadrature_check() -> list[Check]:
-    alpha, r, g = SIGNAL_ALPHA, BENCHMARK_R, BENCHMARK_G
-    beta_star = math.pi / (4.0 * alpha * math.sqrt(g))
-    grid = oracle.GridSpec(points=oracle.DEFAULT_POINTS_1D)
-    xs = np.linspace(-8.0, 8.0, 161)
+    out_grid = oracle.GridSpec(-8.0, 8.0, 161)
+    xs = out_grid.axis()
     worst = 0.0
-    for beta, (a, b) in [(0.0, (1.0, 1.0)), (0.0, (0.6, -0.8)), (beta_star, (1.0, 1.0))]:
-        p = states.SignalParams(a, b, alpha, r)
+    for beta, (a, b) in [(0.0, (1.0, 1.0)), (0.0, (0.6, -0.8)), (_BENCHMARK_BETA, (1.0, 1.0))]:
+        p = states.SignalParams(a, b, SIGNAL_ALPHA, BENCHMARK_R)
         eng = protocols.teleport(p, protocols.ApproxResource(2), beta=beta).output
         ve = eng.evaluate(xs)
-        vo = oracle.quad_teleport(p, 2, beta, grid, out_axis=xs)
-        vo = vo / math.sqrt(float(np.trapezoid(np.abs(vo) ** 2, xs)))
+        vo = oracle.quad_teleport(p, 2, beta, oracle.GridSpec(), out_axis=xs)
+        vo = vo / math.sqrt(oracle.quad_inner(vo, vo, out_grid).value.real)
         phase = np.vdot(vo, ve)
         vo = vo * (phase / abs(phase))
         worst = max(worst, float(np.max(np.abs(ve - vo)) / np.max(np.abs(ve))))
@@ -397,9 +396,8 @@ def _reference_notes() -> list[dict]:
 
     # beta-dependent coefficients of the closed-form output
     p = states.SignalParams(0.7, 0.3j, alpha_s, r)
-    beta_star = math.pi / (4.0 * alpha_s * math.sqrt(g))
     rows = {}
-    for beta in (0.3, beta_star):
+    for beta in (0.3, _BENCHMARK_BETA):
         eng = protocols.teleport(p, protocols.ApproxResource(2), beta=beta).output
         good = 1.0 - fidelity(eng, protocols.output_closed_form(p, 2, beta))
         bad = 1.0 - fidelity(eng, protocols.output_closed_form(p, 2, beta,

@@ -175,12 +175,9 @@ class TestClosedForms:
         g = math.exp(-2 * r)
         val = fock.squeezed_cat_trunc02_fidelity(1e-12, r)
         grid = oracle.GridSpec()
-        xs = grid.axis()
-        w = np.full(xs.size, grid.step)
-        w[0] = w[-1] = grid.step / 2.0
-        sv = states.make_squeezed_vacuum(g).evaluate(xs)
-        a0 = np.sum(hermite_gauss(0).evaluate(xs).real * sv * w)
-        a2 = np.sum(hermite_gauss(2).evaluate(xs).real * sv * w)
+        sv = oracle.sample(states.make_squeezed_vacuum(g), grid)
+        a0, a2 = (oracle.quad_inner(oracle.sample(hermite_gauss(k), grid), sv, grid).value
+                  for k in (0, 2))
         assert val == approx(abs(a0) ** 2 + abs(a2) ** 2, abs=1e-9)
 
     def test_tail_guard(self):

@@ -230,10 +230,11 @@ class TestQuadTeleport:
         alpha, r = benchmark_params["signal_alpha"], benchmark_params["r"]
         p = states.SignalParams(1, 1, alpha, r)
         grid = oracle.GridSpec()
-        xs = np.linspace(-8.0, 8.0, 101)
+        out_grid = oracle.GridSpec(-8.0, 8.0, 101)
+        xs = out_grid.axis()
         engine = protocols.teleport(p, protocols.ApproxResource(2)).output.evaluate(xs)
         direct = oracle.quad_teleport(p, 2, 0.0, grid, out_axis=xs)
-        direct = direct / math.sqrt(float(np.trapezoid(np.abs(direct) ** 2, xs)))
+        direct = direct / math.sqrt(oracle.quad_inner(direct, direct, out_grid).value.real)
         phase = np.vdot(direct, engine)
         direct = direct * (phase / abs(phase))
         assert float(np.max(np.abs(engine - direct))) < 1e-7 * float(np.max(np.abs(engine)))
@@ -242,12 +243,8 @@ class TestQuadTeleport:
         alpha, r = benchmark_params["signal_alpha"], benchmark_params["r"]
         p = states.SignalParams(1, -1, alpha, r)
         grid = oracle.GridSpec()
-        xs = grid.axis()
         out = oracle.quad_teleport(p, 2, 0.0, grid)
-        sig = states.make_signal(p).evaluate(xs)
-        w = np.full(xs.size, grid.step)
-        w[0] = w[-1] = grid.step / 2.0
-        f = abs(np.sum(np.conj(sig) * out * w)) ** 2 / np.sum(np.abs(out) ** 2 * w)
+        f = oracle.quad_fidelity(oracle.sample(states.make_signal(p), grid), out, grid)
         assert f == approx(0.9974, abs=0.0005)
 
     def test_row_blocks_match_one_block_bitwise(self, monkeypatch, benchmark_params):
