@@ -111,9 +111,25 @@ def _guard(fn: Callable) -> Callable:
     return wrapper
 
 
+#: Widest grid, in points per axis, that an --oracle spot check widens to.
+_SPOT_MAX_POINTS = 4 * oracle.DEFAULT_POINTS_1D
+
+
+def _spot_grid(need: float) -> oracle.GridSpec:
+    """The default oracle grid, or one as fine that reaches +-need."""
+    grid = oracle.GridSpec()
+    if need <= grid.hi:
+        return grid
+    points = math.ceil(2.0 * need / grid.step) + 1
+    if points > _SPOT_MAX_POINTS:
+        raise DomainError(f"the oracle spot check needs a grid of [-{need:.2f}, {need:.2f}], "
+                          f"more than {_SPOT_MAX_POINTS} points at the default step")
+    return oracle.GridSpec(-need, need, points)
+
+
 def _spot_fidelity(u, v) -> float:
     """Quadrature fidelity of two states, for an --oracle spot check."""
-    grid = oracle.GridSpec()
+    grid = _spot_grid(max(oracle.required_bound(u), oracle.required_bound(v)))
     return oracle.quad_fidelity(oracle.sample(u, grid), oracle.sample(v, grid), grid)
 
 
@@ -210,7 +226,7 @@ def fidelity_map(resource, parity, n, alpha, r, beta, grid, fmt, use_oracle, out
     if use_oracle and resource == "approx":
         p = states.SignalParams(math.cos(math.pi / 4), math.sin(math.pi / 4), alpha, r)
         chan = protocols.teleport_channel(alpha, r, res, beta)
-        grid = oracle.GridSpec()
+        grid = _spot_grid(oracle._teleport_bound(p))
         direct = oracle.quad_fidelity(oracle.sample(states.make_signal(p), grid),
                                       oracle.quad_teleport(p, n, chan.beta, grid), grid)
         extra["oracle_spot_check"] = _spot_check({"theta": math.pi / 4, "phi": 0.0},

@@ -79,6 +79,18 @@ def required_bound(u: GaussPolyState) -> float:
     return float(np.max(np.abs(centre) + widen * sig, initial=1.0))
 
 
+def _teleport_bound(signal: SignalParams) -> float:
+    """Bound the t axis of ``quad_teleport`` must reach: the factor
+    psi_sig(t/sqrt2) confines t to sqrt2 times the signal's own bound."""
+    return math.sqrt(2.0) * required_bound(make_signal(signal))
+
+
+def _check_covers(grid: GridSpec, need: float, what: str) -> None:
+    if grid.lo > -need or grid.hi < need:
+        raise DomainError(f"grid [{grid.lo}, {grid.hi}] does not cover the {what}; "
+                          f"use at least [-{need:.2f}, {need:.2f}]")
+
+
 def sample(u: GaussPolyState, grid: GridSpec) -> np.ndarray:
     """Wavefunction values on the tensor grid, after a coverage check.
 
@@ -87,11 +99,7 @@ def sample(u: GaussPolyState, grid: GridSpec) -> np.ndarray:
     grid point; the result still has the full tensor-grid shape.  It is filled
     in row blocks of 2^15 points, so temporaries stay in cache, not 16 MB each.
     """
-    need = required_bound(u)
-    if grid.lo > -need or grid.hi < need:
-        raise DomainError(
-            f"grid [{grid.lo}, {grid.hi}] does not cover the state; "
-            f"use at least [-{need:.2f}, {need:.2f}]")
+    _check_covers(grid, required_bound(u), "state")
     axes = np.meshgrid(*[grid.axis()] * u.n_modes, indexing="ij", sparse=True)
     out = np.empty((grid.points,) * u.n_modes, dtype=complex)
     edges = _row_edges(grid.points, grid.points ** (u.n_modes - 1))
@@ -190,13 +198,15 @@ def quad_teleport(signal: SignalParams, n: int, beta: float, grid: GridSpec,
         psi_out(x) = integral exp(i beta t) psi_vac(x/sqrt2 - t/2)
                      * psi_ladder(t/2 + x/sqrt2) * psi_sig(t/sqrt2) dt,
 
-    evaluated for every x on ``out_axis`` (defaults to the grid axis).  The
+    evaluated for every x on ``out_axis`` (defaults to the grid axis), after
+    checking that the grid reaches ``_teleport_bound(signal)`` in t.  The
     argument scalings are used exactly as written above; agreement with the
     beam-splitter-derived engine output is one of the validation checks.
     The integrand is built in the row blocks of ``sample``, so temporaries
     stay in cache and memory stays bounded on a 4096^2 grid; each row's sum
     is the same as with the whole integrand at once.
     """
+    _check_covers(grid, _teleport_bound(signal), "teleport integrand")
     ladder = make_approx(n)
     vac = make_squeezed_vacuum(signal.g)
     sig = make_signal(signal)

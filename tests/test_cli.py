@@ -167,6 +167,22 @@ class TestAmplify:
         spot = json.loads(res.output)["meta"]["oracle_spot_check"]
         assert spot["difference"] < 1e-7
 
+    @pytest.mark.parametrize("args", [["--alpha-range", "6,6,1"],
+                                      ["--alpha-range", "3,3,1", "--r", "-0.5"]],
+                             ids=["alpha-6", "alpha-3-antisqueezed"])
+    def test_oracle_spot_check_widens_its_grid(self, runner, args):
+        # the targets reach past the default +-12 grid (to 12.03 and 19.78)
+        res = runner.invoke(main, ["amplify", "--kind", "ideal", "--oracle",
+                                   "--format", "json", *args])
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.output)["meta"]["oracle_spot_check"]["difference"] < 1e-7
+
+    def test_oracle_spot_check_beyond_widest_grid_exits_three(self, runner):
+        res = runner.invoke(main, ["amplify", "--kind", "ideal", "--oracle",
+                                   "--alpha-range", "40,40,1"])
+        assert res.exit_code == 3, res.output
+        assert "spot check needs a grid" in res.output
+
 
 class TestValidate:
     def test_clean_run_exits_zero(self, runner, tmp_path):

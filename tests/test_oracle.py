@@ -226,6 +226,14 @@ class TestQuadTeleport:
         assert np.all(np.diff(mags[: peak + 1]) >= -1e-12)
         assert np.all(np.diff(mags[peak:]) <= 1e-12)
 
+    def test_refuses_a_grid_short_of_the_signal(self):
+        # the anti-squeezed signal confines t only to +-28.5; on +-12 the
+        # quadrature missed the engine output by 4.6e-5
+        p = states.SignalParams(1, 1, 1.0, -1.0)
+        with pytest.raises(DomainError) as err:
+            oracle.quad_teleport(p, 4, 0.0, oracle.GridSpec())
+        assert "use at least [-28.50, 28.50]" in str(err.value)
+
     def test_matches_engine_pointwise(self, benchmark_params):
         alpha, r = benchmark_params["signal_alpha"], benchmark_params["r"]
         p = states.SignalParams(1, 1, alpha, r)
