@@ -446,6 +446,10 @@ def run_validation(seed: int = 20260808, trials: int = 30,
                    perturbation: float = 0.0) -> Report:
     if trials < 1:
         raise UsageError("the oracle corpus needs at least 1 trial")
+    if seed < 0:
+        raise UsageError("the corpus seed must be >= 0")
+    if not math.isfinite(perturbation):
+        raise UsageError("the perturbation must be finite")
     with perturb_first_moment(perturbation):
         checks: list[Check] = []
         checks += _moment_checks()

@@ -255,13 +255,17 @@ class TestCliPlumbing:
         ["avg-fidelity", "--r", "400"],
         ["avg-fidelity", "--r", "-400"],
         ["truncation", "--alpha-range", "0,40,2"],
+        ["validate", "--seed", "-1", "--trials", "1"],
+        ["validate", "--perturb", "nan"],
+        ["validate", "--perturb", "inf"],
     ], ids=["truncation-count-0", "amplify-count-0", "avg-grid-0x4", "avg-grid--2x4",
             "avg-grid-4x0", "validate-trials-0", "validate-trials--1", "avg-tol-0",
             "avg-tol--1", "avg-tol-nan", "map-alpha-nan", "map-r-nan", "map-beta-nan",
             "map-beta-inf", "amplify-alpha--1",
             "truncation-r-inf", "truncation-r-400", "truncation-r--400", "truncation-r-nan",
             "truncation-alpha-nan", "map-r-400", "map-r--400", "amplify-r-400",
-            "amplify-r--400", "avg-r-400", "avg-r--400", "truncation-alpha-40"])
+            "amplify-r--400", "avg-r-400", "avg-r--400", "truncation-alpha-40",
+            "validate-seed--1", "validate-perturb-nan", "validate-perturb-inf"])
     def test_vacuous_input_exit_two(self, runner, args):
         res = runner.invoke(main, args)
         assert res.exit_code == 2, res.output
