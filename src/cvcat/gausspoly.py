@@ -66,6 +66,11 @@ Poly = dict[Monomial, complex]
 #: Largest polynomial degree per variable a state may carry.
 DEGREE_CAP = 64
 
+# Most term pairs one product builds.  Step k of an ideal-cat amplify chain
+# squares 2^(k-1) + 1 terms: step 10 builds 513^2 pairs (2.5 s, 340 MB), and
+# step 11 would build 1025^2 at four times that cost.
+_PAIR_CAP = 1 << 20
+
 # Gaussian forms (Q, L) closer than this fraction of the form's largest entry
 # are one form reached along different rounding paths.  Over every grouping
 # in the ideal-cat amplify chains (16 alpha over [0.3, 2.5], five steps) such
@@ -451,6 +456,7 @@ def _merge_terms(modes: Sequence[str], quads: np.ndarray, lins: np.ndarray,
 
 def _raw_multiply(u: GaussPolyState, v: GaussPolyState) -> GaussPolyState:
     """Termwise product over a shared mode set, without the degree-cap check.
+    More than ``_PAIR_CAP`` term pairs raise CapacityError before any is built.
 
     All N_u * N_v forms and offsets are summed as arrays and grouped, so the
     coefficient products are the only work done pair by pair.
@@ -458,6 +464,9 @@ def _raw_multiply(u: GaussPolyState, v: GaussPolyState) -> GaussPolyState:
     def pair_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return (a[:, None] + b[None, :]).reshape(-1, *a.shape[1:])
 
+    if len(u._polys) * len(v._polys) > _PAIR_CAP:
+        raise CapacityError(f"term-pair cap {_PAIR_CAP} exceeded: "
+                            f"{len(u._polys)} x {len(v._polys)} terms")
     polys = [_poly_mul(pu, pv) for pu in u._polys for pv in v._polys]
     return _merge_terms(u.modes, pair_sums(u._quads, v._quads), pair_sums(u._lins, v._lins),
                         pair_sums(u._offsets, v._offsets), polys)

@@ -587,7 +587,7 @@ def amplify_iterate(source: IdealCat | ApproxResource, steps: int) -> list[Ampli
         try:
             cur = _amplify_state(cur)
         except CapacityError as exc:
-            raise CapacityError(f"degree cap exhausted at step {step}") from exc
+            raise CapacityError(f"{exc} at step {step}") from exc
         if isinstance(source, ApproxResource):
             fit = fit_effective_params(size)
             target = make_ideal_squeezed_cat(fit.alpha, fit.r, "even", "1")

@@ -2,6 +2,7 @@ import cmath
 import math
 import pickle
 import threading
+import time
 
 import mpmath
 import numpy as np
@@ -139,6 +140,17 @@ class TestMultiply:
         u = states.make_approx(32)
         with pytest.raises(CapacityError):
             multiply(multiply(u, u), u)
+
+    def test_term_pair_cap(self):
+        # 1025^2 pairs, the product step 11 of an ideal-cat chain would build,
+        # are refused before any pair array is allocated
+        u = superpose([states.make_squeezed_coherent(0.01 * k) for k in range(1025)],
+                      [1.0] * 1025)
+        assert len(u.terms) == 1025
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match="term-pair cap 1048576"):
+            multiply(u, u)
+        assert time.perf_counter() - start < 1.0
 
     def test_overlapping_mode_sets_rejected(self):
         u = multiply(hermite_gauss(0, "1"), hermite_gauss(0, "2"))

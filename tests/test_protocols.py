@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from cvcat import oracle, protocols, states
+from cvcat import gausspoly, oracle, protocols, states
 from cvcat.errors import CapacityError, DomainError, UsageError
 from cvcat.gausspoly import (
     beam_splitter,
@@ -587,6 +587,14 @@ class TestAmplify:
     def test_capacity_error_carries_step(self):
         with pytest.raises(CapacityError) as err:
             protocols.amplify_iterate(protocols.ApproxResource(8), 3)
+        assert "step 3" in str(err.value)
+
+    def test_pair_cap_names_capacity_and_step(self, monkeypatch):
+        # steps 1-3 square 2, 3 and 5 terms: 4, 9 and 25 pairs
+        monkeypatch.setattr(gausspoly, "_PAIR_CAP", 16)
+        with pytest.raises(CapacityError) as err:
+            protocols.amplify_iterate(protocols.IdealCat(1.0, R), 3)
+        assert "term-pair cap 16" in str(err.value)
         assert "step 3" in str(err.value)
 
     def test_amplify_capacity(self):
