@@ -116,7 +116,7 @@ _SPOT_MAX_POINTS = 4 * oracle.DEFAULT_POINTS_1D
 
 
 def _spot_grid(need: float) -> oracle.GridSpec:
-    """The default oracle grid, or one as fine that reaches +-need."""
+    """The default oracle grid, or one at least as fine that reaches +-need."""
     grid = oracle.GridSpec()
     if need <= grid.hi:
         return grid
