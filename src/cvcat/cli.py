@@ -127,12 +127,6 @@ def _spot_grid(need: float) -> oracle.GridSpec:
     return oracle.GridSpec(-need, need, points)
 
 
-def _spot_fidelity(u, v) -> float:
-    """Quadrature fidelity of two states, for an --oracle spot check."""
-    grid = _spot_grid(max(oracle.required_bound(u), oracle.required_bound(v)))
-    return oracle.quad_fidelity(oracle.sample(u, grid), oracle.sample(v, grid), grid)
-
-
 def _spot_check(where: dict, engine: float, quadrature: float) -> dict:
     """The --oracle record: where it was taken, both values and their gap."""
     return {**where, "engine": engine, "quadrature": quadrature,
@@ -174,6 +168,12 @@ def truncation(alpha_range, r, fmt, use_oracle, out):
     alphas = _parse_range(alpha_range)
     g = states.squeezing_g(r, UsageError)
     fock.even_cat_cosh(max(alphas, key=abs), UsageError)
+    if use_oracle:
+        # the cat's bound grows with |alpha|, so the widest cat sets the grid
+        widest = states.make_ideal_squeezed_cat(max(alphas, key=abs), r, "even")
+        grid = _spot_grid(max(map(oracle.required_bound, (widest, hermite_gauss(2)))))
+        levels = [oracle.sample(hermite_gauss(k), grid) for k in (0, 2)]
+
     rows = []
     for alpha in alphas:
         vec = fock.even_cat_fock(alpha, fock.DEFAULT_DIM)
@@ -185,8 +185,9 @@ def truncation(alpha_range, r, fmt, use_oracle, out):
             "F_squeezed_alt": fock.squeezed_trunc02_closed_form_alt(alpha, g),
         }
         if use_oracle:
-            cat = states.make_ideal_squeezed_cat(alpha, r, "even")
-            row["F_squeezed_oracle"] = sum(_spot_fidelity(hermite_gauss(k), cat) for k in (0, 2))
+            cat_vals = oracle.sample(states.make_ideal_squeezed_cat(alpha, r, "even"), grid)
+            row["F_squeezed_oracle"] = sum(oracle.quad_fidelity(h, cat_vals, grid)
+                                           for h in levels)
         rows.append(row)
     columns = list(rows[0].keys())
     meta = _meta("truncation", {
@@ -320,8 +321,11 @@ def amplify(kind, alpha_range, r, n, steps, fmt, use_oracle, out):
         if use_oracle:
             mid, outcome = float(alphas[len(alphas) // 2]), firsts[len(alphas) // 2]
             target = states.make_ideal_squeezed_cat(math.sqrt(2) * mid, r, "even", "1")
-            extra["oracle_spot_check"] = _spot_check(
-                {"alpha": mid}, outcome.fidelity_vs_target, _spot_fidelity(target, outcome.output))
+            grid = _spot_grid(max(map(oracle.required_bound, (target, outcome.output))))
+            direct = oracle.quad_fidelity(oracle.sample(target, grid),
+                                          oracle.sample(outcome.output, grid), grid)
+            extra["oracle_spot_check"] = _spot_check({"alpha": mid},
+                                                     outcome.fidelity_vs_target, direct)
     else:
         seq = protocols.amplify_iterate(protocols.ApproxResource(n), steps)
         rows = []
