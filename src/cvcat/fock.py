@@ -29,12 +29,16 @@ from .errors import DomainError, EngineError, UsageError
 from .gausspoly import GaussPolyState
 from . import states as _states
 
-#: Default Fock-space size; large enough that every state used in the
-#: truncation analysis carries < 1e-10 mass above the cutoff.
+#: Fock-space size of the truncation command's even-cat vectors and the first
+#: size of the squeezed-cat expansion; levels 0 and 2 do not depend on it.
 DEFAULT_DIM = 40
 
-#: Mass allowed above the cutoff before a truncation-fidelity claim is refused.
+#: The squeezed-cat expansion grows until at most this mass lies above its cutoff.
 TAIL_TOLERANCE = 1e-10
+
+# Largest expansion tried: enough unless the amplitudes underflow (alpha = 39
+# at r = 0) or the squeezing spreads the state further (|r| above about 5).
+_MAX_DIM = DEFAULT_DIM << 13
 
 
 @dataclass(frozen=True)
@@ -164,17 +168,23 @@ def cat_trunc02_formula(alpha: float) -> float:
     return (alpha ** 4 + 2.0) / (2.0 * even_cat_cosh(alpha))
 
 
-def squeezed_cat_trunc02_fidelity(alpha: float, r: float, dim: int = DEFAULT_DIM) -> float:
+def squeezed_cat_trunc02_fidelity(alpha: float, r: float) -> float:
     """|<0|psi>|^2 + |<2|psi>|^2 for the squeezed even cat, from the exact
-    wavefunction expansion.  Refuses to answer when more than TAIL_TOLERANCE
-    of the state lies above the cutoff."""
+    wavefunction expansion.  The expansion starts at DEFAULT_DIM levels and
+    doubles until at most TAIL_TOLERANCE of the state lies above its cutoff;
+    DomainError when the tail is still larger at the largest size tried."""
     cat = _states.make_ideal_squeezed_cat(alpha, r, "even")
-    vec = fock_from_wavefunction(cat, dim)
-    tail = 1.0 - vec.norm_squared()
-    if tail > TAIL_TOLERANCE:
-        raise DomainError(
-            f"truncation error {tail:.3e} above cutoff dim={dim}; increase dim")
-    return truncation_fidelity(vec, {0, 2})
+    dim = DEFAULT_DIM
+    while True:
+        vec = fock_from_wavefunction(cat, dim)
+        tail = 1.0 - vec.norm_squared()
+        if not tail > TAIL_TOLERANCE:
+            return truncation_fidelity(vec, {0, 2})
+        if dim >= _MAX_DIM:
+            raise DomainError(
+                f"the Fock expansion of the squeezed cat at alpha = {alpha:g}, r = {r:g} "
+                f"does not converge: {tail:.3e} of it lies above {dim} levels")
+        dim *= 2
 
 
 def squeezed_trunc02_closed_form(alpha: float, g: float) -> float:

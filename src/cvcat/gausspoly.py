@@ -455,6 +455,12 @@ def _merge_terms(modes: Sequence[str], quads: np.ndarray, lins: np.ndarray,
                                       lins[firsts], np.array(refs, dtype=complex), merged)
 
 
+def _check_pair_cap(n_u: int, n_v: int, where: str = "") -> None:
+    """CapacityError when n_u x n_v terms make more than ``_PAIR_CAP`` pairs."""
+    if n_u * n_v > _PAIR_CAP:
+        raise CapacityError(f"term-pair cap {_PAIR_CAP} exceeded: {n_u} x {n_v} terms{where}")
+
+
 def _raw_multiply(u: GaussPolyState, v: GaussPolyState) -> GaussPolyState:
     """Termwise product over a shared mode set, without the degree-cap check.
     More than ``_PAIR_CAP`` term pairs raise CapacityError before any is built.
@@ -465,9 +471,7 @@ def _raw_multiply(u: GaussPolyState, v: GaussPolyState) -> GaussPolyState:
     def pair_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return (a[:, None] + b[None, :]).reshape(-1, *a.shape[1:])
 
-    if len(u._polys) * len(v._polys) > _PAIR_CAP:
-        raise CapacityError(f"term-pair cap {_PAIR_CAP} exceeded: "
-                            f"{len(u._polys)} x {len(v._polys)} terms")
+    _check_pair_cap(len(u._polys), len(v._polys))
     polys = [_poly_mul(pu, pv) for pu in u._polys for pv in v._polys]
     return _merge_terms(u.modes, pair_sums(u._quads, v._quads), pair_sums(u._lins, v._lins),
                         pair_sums(u._offsets, v._offsets), polys)

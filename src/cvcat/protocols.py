@@ -35,6 +35,7 @@ from .errors import CapacityError, DomainError, UsageError
 from .gausspoly import (
     GaussPolyState,
     GaussTerm,
+    _check_pair_cap,
     _conj_state,
     _moment_polys,
     _poly_add,
@@ -147,7 +148,12 @@ def default_beta(signal: SignalParams, resource: Resource) -> float:
     pi/(4 alpha sqrt(g)) for odd."""
     if _parity(resource) > 0:
         return 0.0
-    return math.pi / (4.0 * signal.alpha * math.sqrt(signal.g))
+    return _odd_beta(signal.alpha, signal.g)
+
+
+def _odd_beta(alpha: float, g: float) -> float:
+    """beta* = pi/(4 alpha sqrt(g)), the projection value of an odd resource."""
+    return math.pi / (4.0 * alpha * math.sqrt(g))
 
 
 def resource_state(resource: Resource, signal: SignalParams) -> GaussPolyState:
@@ -160,8 +166,6 @@ def resource_state(resource: Resource, signal: SignalParams) -> GaussPolyState:
                  for s in (1.0, -1.0)]
         return superpose(pairs, [1.0, float(_parity(resource))]).normalized()
     if isinstance(resource, ApproxResource):
-        if not 0 <= resource.n <= MAX_EXCITATION:
-            raise UsageError(f"resource excitation must lie in 0..{MAX_EXCITATION}")
         ladder = make_approx(resource.n, mode="1")
         vac = make_squeezed_vacuum(signal.g, mode="2")
         return beam_splitter(multiply(ladder, vac), "2", "1")
@@ -357,9 +361,9 @@ def signal_content_amplitudes(alpha: float, r: float,
     appearing after the signal beam splitter."""
     if alpha <= 0.0:
         raise UsageError("alpha must be positive")
-    g = math.exp(-2.0 * r)
+    g = squeezing_g(r)
     if beta is None:
-        beta = math.pi / (4.0 * alpha * math.sqrt(g))
+        beta = _odd_beta(alpha, g)
     vac = make_squeezed_vacuum(g, "x")
     plus = make_squeezed_coherent(math.sqrt(2.0) * alpha, r, "x")
     minus = make_squeezed_coherent(-math.sqrt(2.0) * alpha, r, "x")
@@ -573,21 +577,27 @@ def amplify_iterate(source: IdealCat | ApproxResource, steps: int) -> list[Ampli
         raise UsageError("steps must be >= 1")
     if isinstance(source, IdealCat):
         cur = make_ideal_squeezed_cat(source.alpha, source.r, "even", "1")
-        size, growth = source.alpha, math.sqrt(2.0)
+        size, growth, degree = source.alpha, math.sqrt(2.0), 0
     elif isinstance(source, ApproxResource):
         cur = make_approx(source.n, "1")
-        size, growth = source.n, 2
+        size, growth, degree = source.n, 2, source.n
     else:
         raise UsageError(f"unsupported amplification input {source!r}")
+    # Refuse before any step runs.  A step doubles the degree, which must
+    # stay within MAX_EXCITATION, and squares t terms into 2t - 1: the terms
+    # of a chain are equally spaced in their linear coefficient, so a
+    # two-term cat enters step k with 2^(k-1) + 1 and one term stays one.
+    terms = len(cur._polys)
+    for step in range(1, steps + 1):
+        degree *= 2
+        if degree > MAX_EXCITATION:
+            raise CapacityError(f"degree cap exhausted at step {step}")
+        _check_pair_cap(terms, terms, f" at step {step}")
+        terms = 2 * terms - 1
     outcomes: list[AmplifyOutcome] = []
     for step in range(1, steps + 1):
         size *= growth
-        if isinstance(source, ApproxResource) and size > MAX_EXCITATION:
-            raise CapacityError(f"degree cap exhausted at step {step}")
-        try:
-            cur = _amplify_state(cur)
-        except CapacityError as exc:
-            raise CapacityError(f"{exc} at step {step}") from exc
+        cur = _amplify_state(cur)
         if isinstance(source, ApproxResource):
             fit = fit_effective_params(size)
             target = make_ideal_squeezed_cat(fit.alpha, fit.r, "even", "1")

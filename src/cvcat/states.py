@@ -55,7 +55,7 @@ class SignalParams:
 
     @property
     def g(self) -> float:
-        return math.exp(-2.0 * self.r)
+        return squeezing_g(self.r)
 
     def norm_constant_squared(self) -> float:
         """1 / N_sig^2 = |a|^2 + |b|^2 + 2 exp(-2 alpha^2) Re(a conj(b))."""

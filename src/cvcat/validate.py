@@ -35,10 +35,10 @@ from .gausspoly import (
 # alpha_eff/sqrt(2) so that the resource supplies the sqrt(2)*alpha cat.
 BENCHMARK_ALPHA_EFF = math.sqrt(2.6)
 BENCHMARK_R = 0.4029
-BENCHMARK_G = math.exp(-2.0 * BENCHMARK_R)
+BENCHMARK_G = states.squeezing_g(BENCHMARK_R)
 SIGNAL_ALPHA = BENCHMARK_ALPHA_EFF / math.sqrt(2.0)
-#: Projection value pi/(4 alpha sqrt(g)) matched to an odd resource, beta*.
-_BENCHMARK_BETA = math.pi / (4.0 * SIGNAL_ALPHA * math.sqrt(BENCHMARK_G))
+#: Projection value beta* matched to an odd resource at the benchmark signal.
+_BENCHMARK_BETA = protocols._odd_beta(SIGNAL_ALPHA, BENCHMARK_G)
 
 #: Reference values the benchmark suite reproduces, with acceptance bands.
 REFERENCES = {
@@ -166,7 +166,7 @@ def _truncation_checks() -> list[Check]:
     worst = 0.0
     for a, rr in [(1.0, 0.0), (1.5, 0.0), (BENCHMARK_ALPHA_EFF, BENCHMARK_R), (0.8, 0.5)]:
         direct = fock.squeezed_cat_trunc02_fidelity(a, rr)
-        closed = fock.squeezed_trunc02_closed_form(a, math.exp(-2 * rr))
+        closed = fock.squeezed_trunc02_closed_form(a, states.squeezing_g(rr))
         worst = max(worst, abs(direct - closed))
     out.append(_check("squeezed-trunc02-closed-form", worst, 1e-10))
 

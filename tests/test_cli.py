@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from cvcat import oracle, validate
+from cvcat import fock, oracle, validate
 from cvcat.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -64,6 +64,14 @@ class TestTruncation:
         # formula and Fock routes agree to 1e-10 on every row
         for row in rows:
             assert abs(float(row["F_formula"]) - float(row["F_fock"])) < 1e-10
+
+    def test_large_cats_match_the_closed_form(self, runner):
+        # from alpha = 3.5 the squeezed-cat expansion outgrows its first 40 levels
+        res = invoke(runner, ["truncation", "--alpha-range", "0,5,11"])
+        assert res.exit_code == 0, res.output
+        for row in parse_csv(res.output)[1]:
+            closed = fock.squeezed_trunc02_closed_form(float(row["alpha"]), 1.0)
+            assert float(row["F_squeezed"]) == pytest.approx(closed, rel=1e-12)
 
     def test_metadata_header(self, runner):
         res = invoke(runner, ["truncation", "--alpha-range", "0,1,2"])
@@ -160,6 +168,12 @@ class TestAmplify:
     def test_capacity_exit_code(self, runner):
         res = runner.invoke(main, ["amplify", "--kind", "approx", "--n", "32"])
         assert res.exit_code == 3
+
+    def test_pair_cap_exit_code(self, runner):
+        res = runner.invoke(main, ["amplify", "--kind", "ideal", "--alpha-range", "1,1,1",
+                                   "--steps", "11"])
+        assert res.exit_code == 3
+        assert "term-pair cap 1048576 exceeded: 1025 x 1025 terms at step 11" in res.output
 
     def test_oracle_spot_check(self, runner):
         res = invoke(runner, ["amplify", "--kind", "ideal", "--alpha-range",

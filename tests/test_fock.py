@@ -180,9 +180,18 @@ class TestClosedForms:
                   for k in (0, 2))
         assert val == approx(abs(a0) ** 2 + abs(a2) ** 2, abs=1e-9)
 
+    @pytest.mark.parametrize("alpha", [3.5, 4.0, 10.0, 26.0])
+    def test_large_cat_grows_its_expansion(self, alpha):
+        # 40 levels hold too little of these cats; the expansion grows to fit
+        assert fock.squeezed_cat_trunc02_fidelity(alpha, 0.0) == approx(
+            fock.squeezed_trunc02_closed_form(alpha, 1.0), rel=1e-12)
+
     def test_tail_guard(self):
-        with pytest.raises(DomainError):
-            fock.squeezed_cat_trunc02_fidelity(3.0, 0.0, dim=6)
+        # the Fock amplitudes underflow, so no expansion holds the state
+        with pytest.raises(DomainError) as err:
+            fock.squeezed_cat_trunc02_fidelity(40.0, 0.0)
+        assert "alpha = 40, r = 0" in str(err.value)
+        assert "increase dim" not in str(err.value)
 
 
 class TestFidelity:

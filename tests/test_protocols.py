@@ -159,6 +159,15 @@ class TestTeleportApprox:
         with pytest.raises(DomainError, match="herald weight"):
             chan.fidelity_grid(np.array([1.0, 0.6]), np.array([0.0, 0.8]))
 
+    def test_teleport_rejects_vanishing_herald(self):
+        # at alpha = 40 the herald weight of a = 1, b = 0 is not above HERALD_FLOOR
+        res = protocols.ApproxResource(2)
+        out = protocols.teleport(signal(1, 0, alpha=40.0, r=0.0), res)
+        assert (out.accepted, out.output) == (False, None)
+        assert (out.herald_weight, out.fidelity_vs_signal) == (0.0, 0.0)
+        with pytest.raises(DomainError, match="herald weight"):
+            protocols.teleport_channel(40.0, 0.0, res).fidelity(1, 0)
+
 
 class TestTeleportOracle:
     @pytest.mark.parametrize("n", [16, 32])
@@ -588,6 +597,22 @@ class TestAmplify:
         with pytest.raises(CapacityError) as err:
             protocols.amplify_iterate(protocols.ApproxResource(8), 3)
         assert "step 3" in str(err.value)
+
+    def test_pair_cap_refuses_before_the_first_step(self, monkeypatch):
+        # step 11 squares 1025 terms; no step runs before the refusal
+        calls = []
+        real = protocols._amplify_state
+        monkeypatch.setattr(protocols, "_amplify_state", lambda u: calls.append(1) or real(u))
+        with pytest.raises(CapacityError) as err:
+            protocols.amplify_iterate(protocols.IdealCat(1.0, 0.4), 11)
+        assert str(err.value) == "term-pair cap 1048576 exceeded: 1025 x 1025 terms at step 11"
+        assert calls == []
+
+    def test_ten_step_chain_fits_the_pair_cap(self, monkeypatch):
+        # the steps themselves are stubbed out: only the capacity check runs in full
+        monkeypatch.setattr(protocols, "_amplify_state", lambda u: u)
+        out = protocols.amplify_iterate(protocols.IdealCat(1.0, 0.4), 10)
+        assert len(out) == 10
 
     def test_pair_cap_names_capacity_and_step(self, monkeypatch):
         # steps 1-3 square 2, 3 and 5 terms: 4, 9 and 25 pairs
