@@ -29,16 +29,9 @@ from .errors import DomainError, EngineError, UsageError
 from .gausspoly import GaussPolyState
 from . import states as _states
 
-#: Fock-space size of the truncation command's even-cat vectors and the first
-#: size of the squeezed-cat expansion; levels 0 and 2 do not depend on it.
+#: Fock-space size of the truncation command's even-cat vectors; levels 0 and
+#: 2 do not depend on it.
 DEFAULT_DIM = 40
-
-#: The squeezed-cat expansion grows until at most this mass lies above its cutoff.
-TAIL_TOLERANCE = 1e-10
-
-# Largest expansion tried: enough unless the amplitudes underflow (alpha = 39
-# at r = 0) or the squeezing spreads the state further (|r| above about 5).
-_MAX_DIM = DEFAULT_DIM << 13
 
 
 @dataclass(frozen=True)
@@ -170,21 +163,10 @@ def cat_trunc02_formula(alpha: float) -> float:
 
 def squeezed_cat_trunc02_fidelity(alpha: float, r: float) -> float:
     """|<0|psi>|^2 + |<2|psi>|^2 for the squeezed even cat, from the exact
-    wavefunction expansion.  The expansion starts at DEFAULT_DIM levels and
-    doubles until at most TAIL_TOLERANCE of the state lies above its cutoff;
-    DomainError when the tail is still larger at the largest size tried."""
+    wavefunction expansion.  No amplitude depends on the size of the
+    expansion, so three levels give a_0 and a_2 as a larger one would."""
     cat = _states.make_ideal_squeezed_cat(alpha, r, "even")
-    dim = DEFAULT_DIM
-    while True:
-        vec = fock_from_wavefunction(cat, dim)
-        tail = 1.0 - vec.norm_squared()
-        if not tail > TAIL_TOLERANCE:
-            return truncation_fidelity(vec, {0, 2})
-        if dim >= _MAX_DIM:
-            raise DomainError(
-                f"the Fock expansion of the squeezed cat at alpha = {alpha:g}, r = {r:g} "
-                f"does not converge: {tail:.3e} of it lies above {dim} levels")
-        dim *= 2
+    return truncation_fidelity(fock_from_wavefunction(cat, 3), {0, 2})
 
 
 def squeezed_trunc02_closed_form(alpha: float, g: float) -> float:

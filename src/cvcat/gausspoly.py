@@ -48,11 +48,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from operator import add, mul
+from operator import add
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -71,14 +70,6 @@ DEGREE_CAP = 64
 # step and takes 2.5 s and 340 MB on a 2-core x86-64 machine; step 11 would
 # build 1025^2 pairs at about four times that cost.
 _PAIR_CAP = 1 << 20
-
-# Gaussian forms (Q, L) closer than this fraction of the form's largest entry
-# are one form reached along different rounding paths.  Over every grouping
-# in the ideal-cat amplify chains (16 alpha over [0.3, 2.5], five steps) such
-# copies differ by at most 56 ulp of the largest entry (1.1e-14 relative), and
-# distinct forms by at least 3.1e-2 relative, so any value well inside that
-# gap gives the same grouping.
-_FORM_RTOL = 1e-12
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -216,11 +207,9 @@ class GaussPolyState:
         """Build a state, merging terms with equal Gaussian forms and dropping
         exact-zero coefficients.
 
-        Two forms (Q, L) count as equal when their entries are equal or when
-        their largest entrywise distance is at most ``_FORM_RTOL`` (1e-12)
-        times the largest entry of the later form, so copies of one form that
-        took different rounding paths merge.  A merged term keeps its first
-        member's (Q, L).
+        Two forms (Q, L) count as equal only when every entry is equal, so
+        forms one rounding apart stay two terms (-0.0 equals +0.0).  A merged
+        term keeps its first member's (Q, L).
         """
         return _merge_terms(modes, *_stack(list(terms), len(modes)))
 
@@ -383,70 +372,47 @@ def _aligned(v: GaussPolyState, modes: tuple[str, ...]) -> GaussPolyState:
     return GaussPolyState._from_parts(modes, quads, lins, v._offsets, polys)
 
 
-def _group_forms(forms: Sequence[Sequence[complex]]) -> list[list[int]]:
-    """Indices of equal Gaussian forms, grouped in order of first appearance.
-
-    Each form lists the w entries of Q, then those of L.  A form joins a
-    group when it equals a form seen before, or else the nearest group whose
-    first form lies within ``_FORM_RTOL`` times the form's largest entry, in
-    largest entrywise distance.  Group firsts are kept sorted by the
-    projection p = sum_i i * (Re z_i + Im z_i); forms at distance d have
-    projections at most w * (w + 1) * d / sqrt(2) apart, so only the firsts
-    within w * (w + 1) tolerances of a form's projection are compared.
-    """
-    seen: dict[tuple[complex, ...], int] = {}
-    groups: list[list[int]] = []
-    projections: list[float] = []  # ascending, one per group
-    owners: list[int] = []  # group of each entry of ``projections``
-    for k, form in enumerate(forms):
-        key = tuple(form)
-        g = seen.get(key)
-        if g is None:
-            weighted = sum(map(mul, range(1, len(form) + 1), form))
-            p = weighted.real + weighted.imag
-            if projections:
-                best = _FORM_RTOL * max(map(abs, form))
-                reach = len(form) * (len(form) + 1) * best
-                for j in range(bisect_left(projections, p - reach),
-                               bisect_right(projections, p + reach)):
-                    first = forms[groups[owners[j]][0]]
-                    dist = max(abs(a - b) for a, b in zip(form, first))
-                    if dist <= best:
-                        g, best = owners[j], dist
-            if g is None:
-                g = len(groups)
-                groups.append([])
-                j = bisect_right(projections, p)
-                projections.insert(j, p)
-                owners.insert(j, g)
-        seen[key] = g
-        groups[g].append(k)
-    return groups
-
-
 def _merge_terms(modes: Sequence[str], quads: np.ndarray, lins: np.ndarray,
-                 offsets: np.ndarray, polys: Sequence[Poly]) -> GaussPolyState | complex:
-    """Finish an operation: one term per group of equal forms (compared as
-    rows of Q's entries, then L's), members summed relative to the group's
-    largest real offset, exact-zero coefficients and all-zero terms dropped
-    (every other coefficient is kept), and each kept form's Q replaced by
-    (Q + Q^T) / 2, the only symmetrisation an operation does.  With no mode
-    left, the amplitude sum_k c_k * exp(offset_k) instead."""
+                 offsets: np.ndarray, polys: Sequence[Poly],
+                 keys: Iterable | None = None) -> GaussPolyState | complex:
+    """Finish an operation: one term per group of rows with equal keys, in
+    order of first appearance, members summed relative to the group's largest
+    real offset, exact-zero coefficients and all-zero terms dropped (every
+    other coefficient is kept), and each kept form's Q replaced by
+    (Q + Q^T) / 2, the only symmetrisation an operation does.  A row's key is
+    its form, Q's entries then L's, compared for exact equality, unless the
+    caller passes one key per row; a merged term keeps its first member's
+    (Q, L).  A merged term whose largest |coefficient| lies outside
+    [1e-30, 1e30] has its coefficients divided by 2^e and e ln 2 added to its
+    offset, both exact but for the rounding of e ln 2, so repeated products
+    keep their scale in the offsets.  With no mode left, the amplitude
+    sum_k c_k * exp(offset_k) instead."""
     offsets = offsets.tolist()
     if not modes:
         total = 0j
         for poly, off in zip(polys, offsets):
             total += poly.get((), 0j) * cmath.exp(off)
         return total
-    rows = np.concatenate([quads.reshape(len(quads), len(modes) ** 2), lins], axis=1)
+    if keys is None:
+        keys = map(tuple, np.concatenate([quads.reshape(len(quads), len(modes) ** 2), lins],
+                                         axis=1).tolist())
+    groups: dict = {}
+    for k, key in enumerate(keys):
+        groups.setdefault(key, []).append(k)
     firsts, refs, merged = [], [], []
-    for group in _group_forms(rows.tolist()):
+    for group in groups.values():
         ref = max(offsets[k].real for k in group)
         poly: Poly = {}
         for k in group:
             poly = _poly_add(poly, _poly_scale(polys[k], cmath.exp(offsets[k] - ref)))
         poly = {e: c for e, c in poly.items() if c}
         if poly:
+            big = max(map(abs, poly.values()))
+            if not 1e-30 <= big <= 1e30:
+                shift = math.frexp(big)[1]
+                poly = {e: complex(math.ldexp(c.real, -shift), math.ldexp(c.imag, -shift))
+                        for e, c in poly.items()}
+                ref += shift * math.log(2.0)
             firsts.append(group[0])
             refs.append(ref)
             merged.append(poly)
@@ -461,12 +427,15 @@ def _check_pair_cap(n_u: int, n_v: int, where: str = "") -> None:
         raise CapacityError(f"term-pair cap {_PAIR_CAP} exceeded: {n_u} x {n_v} terms{where}")
 
 
-def _raw_multiply(u: GaussPolyState, v: GaussPolyState) -> GaussPolyState:
+def _raw_multiply(u: GaussPolyState, v: GaussPolyState,
+                  keys: Iterable | None = None) -> GaussPolyState:
     """Termwise product over a shared mode set, without the degree-cap check.
     More than ``_PAIR_CAP`` term pairs raise CapacityError before any is built.
 
     All N_u * N_v forms and offsets are summed as arrays and grouped, so the
-    coefficient products are the only work done pair by pair.
+    coefficient products are the only work done pair by pair.  ``keys``, one
+    per pair (i, j) in the order i * N_v + j, replaces the forms as the
+    grouping key of ``_merge_terms``.
     """
     def pair_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return (a[:, None] + b[None, :]).reshape(-1, *a.shape[1:])
@@ -474,7 +443,7 @@ def _raw_multiply(u: GaussPolyState, v: GaussPolyState) -> GaussPolyState:
     _check_pair_cap(len(u._polys), len(v._polys))
     polys = [_poly_mul(pu, pv) for pu in u._polys for pv in v._polys]
     return _merge_terms(u.modes, pair_sums(u._quads, v._quads), pair_sums(u._lins, v._lins),
-                        pair_sums(u._offsets, v._offsets), polys)
+                        pair_sums(u._offsets, v._offsets), polys, keys)
 
 
 @np.errstate(all="ignore")  # an overflow raises DomainError below, not a warning

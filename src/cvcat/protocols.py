@@ -40,6 +40,7 @@ from .gausspoly import (
     _moment_polys,
     _poly_add,
     _poly_mul,
+    _raw_multiply,
     _unit_scaled,
     beam_splitter,
     condition_x,
@@ -539,9 +540,18 @@ def _amplify_state(u: GaussPolyState) -> GaussPolyState:
     second output arm, renormalise.  The splitter sends u(x_1) u(x_2) to
     u((x_1 - x_2)/sqrt2) u((x_1 + x_2)/sqrt2), so at x_2 = 0 the step is the
     square of the dilated state w(x) = u(x/sqrt2), normalised: one 1-mode
-    product, with no two-mode state built."""
+    product, with no two-mode state built.
+
+    Term i of ``u`` must be the branch S|(q_0 + i) a>, for some q_0 and a,
+    as the even cat is (one term is trivially such a lattice).  Pair (i, j)
+    is then the branch at 2 q_0 + i + j, so pairs merge by i + j, exactly,
+    though their float forms differ in the last bits; the sums first appear
+    in ascending order, so the output is such a lattice again.  The degree
+    cap of ``multiply`` is not checked: ``amplify_iterate`` checks the
+    stricter MAX_EXCITATION before step 1."""
     w = dilate(u, 1.0 / math.sqrt(2.0))
-    return multiply(w, w).normalized()
+    t = len(w._polys)
+    return _raw_multiply(w, w, [i + j for i in range(t) for j in range(t)]).normalized()
 
 
 def vacuum_overlap(alpha: float, r: float) -> float:

@@ -78,6 +78,17 @@ def test_chain_reference_is_squeezing_independent(alpha, r):
         assert abs(o.fidelity_vs_target - f) <= CHAIN_TOL
 
 
+def test_ten_step_chain_keeps_its_scale_in_the_offsets():
+    # the coefficients of a 10-step chain would reach 1e268 and its norm would
+    # underflow; the scale moves into the offsets instead
+    outs = protocols.amplify_iterate(protocols.IdealCat(0.1, R), 10)
+    assert [len(o.output.terms) for o in outs] == [2 ** k + 1 for k in range(1, 11)]
+    for o, (_, f) in zip(outs, branch_chain(0.1, STEPS)):
+        assert abs(o.fidelity_vs_target - f) <= CHAIN_TOL
+    for o in outs:
+        assert max(abs(c) for p in o.output._polys for c in p.values()) <= 1e30
+
+
 def test_first_step_closed_form():
     # one step from the even cat: three branches with weights 1, 2 e^{-2 alpha^2}, 1
     alpha = 1.1

@@ -181,17 +181,19 @@ class TestClosedForms:
         assert val == approx(abs(a0) ** 2 + abs(a2) ** 2, abs=1e-9)
 
     @pytest.mark.parametrize("alpha", [3.5, 4.0, 10.0, 26.0])
-    def test_large_cat_grows_its_expansion(self, alpha):
-        # 40 levels hold too little of these cats; the expansion grows to fit
+    def test_large_cat_matches_the_closed_form(self, alpha):
+        # most of these cats lies far above level 2; levels 0 and 2 do not care
         assert fock.squeezed_cat_trunc02_fidelity(alpha, 0.0) == approx(
             fock.squeezed_trunc02_closed_form(alpha, 1.0), rel=1e-12)
 
-    def test_tail_guard(self):
-        # the Fock amplitudes underflow, so no expansion holds the state
-        with pytest.raises(DomainError) as err:
-            fock.squeezed_cat_trunc02_fidelity(40.0, 0.0)
-        assert "alpha = 40, r = 0" in str(err.value)
-        assert "increase dim" not in str(err.value)
+    def test_extreme_cats_match_the_closed_form(self):
+        # no Fock expansion of practical size holds these states, and none is needed
+        for alpha, r in ((1.0, 5.3), (1.0, -5.3), (2.0, 8.0)):
+            assert fock.squeezed_cat_trunc02_fidelity(alpha, r) == approx(
+                fock.squeezed_trunc02_closed_form(alpha, states.squeezing_g(r)), rel=1e-12)
+        # the amplitudes underflow, like the closed form's exponential
+        assert fock.squeezed_cat_trunc02_fidelity(40.0, 0.0) == 0.0
+        assert fock.squeezed_trunc02_closed_form(40.0, 1.0) == 0.0
 
 
 class TestFidelity:

@@ -450,17 +450,26 @@ class TestStateBasics:
         assert len(doubled.terms) == 1
         assert fidelity(doubled, u) == approx(1.0, abs=1e-12)
 
-    def test_rounding_twins_merge(self):
-        twin = gaussian_term(1.3, np.nextafter(2.8, 3.0))
-        u = GaussPolyState.from_terms(("x",), [gaussian_term(1.3, 2.8), twin])
-        assert len(u.terms) == 1
-        assert u.terms[0].lin[0] == 2.8
-        assert u.terms[0].poly == {(0,): 2.0 + 0j}
+    @pytest.mark.parametrize("lin", [np.nextafter(2.8, 3.0), 2.8 * (1 + 1e-9)])
+    def test_unequal_forms_stay_separate(self, lin):
+        # one ulp apart is apart: merging is exact equality
+        u = GaussPolyState.from_terms(("x",), [gaussian_term(1.3, 2.8), gaussian_term(1.3, lin)])
+        assert [t.lin[0] for t in u.terms] == [2.8, lin]
 
-    def test_forms_apart_beyond_rounding_stay_separate(self):
-        u = GaussPolyState.from_terms(("x",), [gaussian_term(1.3, 2.8),
-                                               gaussian_term(1.3, 2.8 * (1 + 1e-9))])
-        assert len(u.terms) == 2
+    def test_signed_zeros_merge(self):
+        u = GaussPolyState.from_terms(("x", "y"), [
+            gaussian_term([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0], m=2),
+            gaussian_term([[1.0, -0.0], [-0.0, 1.0]], [-0.0, 0.0], m=2)])
+        assert len(u.terms) == 1
+        assert u.terms[0].poly == {(0, 0): 2.0 + 0j}
+
+    @pytest.mark.parametrize("coeff", [2.0 ** 1000, -1j * 2.0 ** -1000])
+    def test_merged_scale_moves_into_the_offset(self, coeff):
+        u = GaussPolyState.from_terms(("x",), [gaussian_term(1.0, 0.3, poly={(1,): coeff})])
+        assert 1e-30 <= abs(u.terms[0].poly[(1,)]) <= 1e30
+        xs = np.array([-1.5, 0.5, 2.0])
+        expected = coeff * xs * np.exp(-xs * xs / 2 + 0.3 * xs)
+        assert u.evaluate(xs) == approx(expected, rel=1e-12)
 
     def test_small_odd_cat_keeps_both_branches(self):
         u = states.make_ideal_squeezed_cat(1e-3, 0.4029, "odd")
@@ -554,35 +563,6 @@ def pairwise_multiply_reference(u, v):
 def term_bytes(u):
     return [(coeff_bytes(t.poly), t.quad.tobytes(), t.lin.tobytes(),
              np.complex128(t.offset).tobytes()) for t in u.terms]
-
-
-def full_scan_groups(forms):
-    """Reference grouping that compares each form with every group's first."""
-    groups = []
-    for k, form in enumerate(np.asarray(forms)):
-        dists = [np.abs(forms[g[0]] - form).max() for g in groups]
-        if dists and min(dists) <= gausspoly._FORM_RTOL * np.abs(form).max():
-            groups[int(np.argmin(dists))].append(k)
-        else:
-            groups.append([k])
-    return groups
-
-
-class TestGrouping:
-    @pytest.mark.parametrize("width", [2, 6, 12])
-    def test_matches_full_scan(self, width):
-        rng = np.random.default_rng(60 + width)
-        base = rng.normal(size=(40, width)) + 1j * rng.normal(size=(40, width))
-        base[:10] = np.round(base[:10])  # lattice forms with colliding sums
-        base[10:20] = base[:10, ::-1]  # permuted entries
-        near = base[rng.integers(0, 40, 60)]
-        near = near + rng.uniform(-1, 1, near.shape) * 10.0 ** rng.uniform(
-            -16, -11.5, (60, 1)) * np.abs(near).max(axis=1, keepdims=True)
-        forms = np.concatenate([base, near, base[:5] * (1 + 1e-9)])
-        forms = forms[rng.permutation(len(forms))]
-        groups = gausspoly._group_forms(forms.tolist())
-        assert groups == full_scan_groups(forms)
-        assert 40 < len(groups) < 105
 
 
 class TestArrayProduct:
